@@ -55,17 +55,26 @@ FORCE_ENGINE = None
 DEFAULT_COMPOSED_ORDER = 14
 
 
+def env_int(name: str, default: int) -> int:
+    """The integer in environment variable ``name``, or ``default``
+    when it is unset or empty.  Any other non-integer value raises
+    :class:`~repro.errors.InvalidParameterError` naming the variable:
+    a mistyped knob is a configuration error, not a silent default."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParameterError(
+            f"{name} must be an integer, got {raw!r}") from None
+
+
 def composed_order_threshold() -> int:
     """The auto-pick threshold for the composed engine — the
-    ``BENES_COMPOSED_ORDER`` environment variable when set to a valid
-    integer, else :data:`DEFAULT_COMPOSED_ORDER`."""
-    raw = os.environ.get("BENES_COMPOSED_ORDER")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_COMPOSED_ORDER
+    ``BENES_COMPOSED_ORDER`` environment variable when set, else
+    :data:`DEFAULT_COMPOSED_ORDER`."""
+    return env_int("BENES_COMPOSED_ORDER", DEFAULT_COMPOSED_ORDER)
 
 _UNRESOLVED = object()
 _numpy = _UNRESOLVED

@@ -65,7 +65,6 @@ into the OpenMetrics exporter catalogue automatically.
 
 from __future__ import annotations
 
-import os
 from threading import Lock
 from time import perf_counter as _perf_counter
 from typing import NamedTuple, Optional
@@ -75,7 +74,7 @@ from ..core.routing import BatchRouteResult
 from ..core.switch import validate_stuck_switches
 from ..errors import InvalidParameterError, SizeMismatchError
 from ..obs.spans import spanned as _spanned
-from ._np import have_numpy, numpy_or_none
+from ._np import env_int, have_numpy, numpy_or_none
 from .batch import (
     _as_tag_array,
     _batch_dims,
@@ -112,16 +111,6 @@ DEFAULT_SUB_ORDER = 10
 #: Blocks dispatched per chunk flush (override:
 #: ``BENES_COMPOSED_CHUNK``) — the knob bounding peak state memory.
 DEFAULT_CHUNK_BLOCKS = 16
-
-
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            return max(minimum, int(raw))
-        except ValueError:
-            pass
-    return default
 
 
 class ComposedPlan:
@@ -171,8 +160,8 @@ def composed_plan(order: int,
             f"{order} — route it through the inner engine directly"
         )
     if sub_order is None:
-        sub_order = _env_int("BENES_COMPOSED_SUB_ORDER",
-                             DEFAULT_SUB_ORDER)
+        sub_order = env_int("BENES_COMPOSED_SUB_ORDER",
+                            DEFAULT_SUB_ORDER)
     sub_order = max(1, min(int(sub_order), order - 1))
     return composed_plan_cache().get_or_build(
         (order, sub_order), lambda: ComposedPlan(order, sub_order)
@@ -187,7 +176,7 @@ def _resolve_chunk(chunk_blocks) -> int:
                 f"chunk_blocks must be >= 1, got {chunk_blocks!r}"
             )
         return chunk
-    return _env_int("BENES_COMPOSED_CHUNK", DEFAULT_CHUNK_BLOCKS)
+    return max(1, env_int("BENES_COMPOSED_CHUNK", DEFAULT_CHUNK_BLOCKS))
 
 
 def _inner_engine(sub_order, batch_size, kind: str = "route") -> str:

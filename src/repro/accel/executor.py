@@ -66,7 +66,7 @@ from typing import Any, Callable, Dict, List, Optional
 from .. import obs as _obs
 from ..errors import InvalidParameterError
 from ..obs import spans as _spans
-from ._np import have_numpy, numpy_or_none
+from ._np import env_int, have_numpy, numpy_or_none
 
 __all__ = [
     "SHARD_THRESHOLD",
@@ -79,7 +79,7 @@ __all__ = [
 
 #: Minimum batch size before sharding engages; overridable via the
 #: ``BENES_SHARD_THRESHOLD`` environment variable (read at import).
-SHARD_THRESHOLD = int(os.environ.get("BENES_SHARD_THRESHOLD", "2048"))
+SHARD_THRESHOLD = env_int("BENES_SHARD_THRESHOLD", 2048)
 
 _POOL = None
 _POOL_WORKERS = 0

@@ -15,8 +15,16 @@ Dataflow per request::
                                            ├─ QUEUED ─┤ (timer fires)
                                            │          ├─ to_thread ──
                                            │          │  engine batch
-                                           │          └─ fan responses
+                                           │          └─ encode, one
+                                           │             write per
+                                           │             connection
                                            └─ REJECT ── "rejected"
+
+Lines are read up to :data:`~repro.serve.protocol.MAX_LINE_BYTES`, so
+a request at every order the engines serve (up to
+:data:`~repro.serve.protocol.MAX_ORDER`) fits; a longer line is
+answered with ``status="error"``, counted in ``serve.errors`` and
+skipped, and the connection stays open.
 
 Engine dispatch goes through the first-class registry seam
 (:func:`repro.accel.resolve_engine` — explicit config engine >
@@ -152,7 +160,7 @@ class RoutingDaemon:
                               self._root.context.span_id)
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port,
-            reuse_address=True,
+            reuse_address=True, limit=protocol.MAX_LINE_BYTES,
         )
 
     @property
@@ -175,10 +183,6 @@ class RoutingDaemon:
         while self._dispatches:
             await asyncio.gather(*list(self._dispatches),
                                  return_exceptions=True)
-        # Fast-path response callbacks were scheduled by the batch
-        # futures resolving above; give the loop one pass to run them
-        # before the writers close.
-        await asyncio.sleep(0)
         while self._request_tasks:
             await asyncio.gather(*list(self._request_tasks),
                                  return_exceptions=True)
@@ -230,14 +234,26 @@ class RoutingDaemon:
         self._writers.add(writer)
         write_lock = asyncio.Lock()
         line_tasks: set = set()
-        pending: set = set()
+        conn = _Connection(writer)
         with self._adopt_root():
             conn_span = _spans.start_span("serve.connection")
             try:
                 while True:
                     try:
-                        line = await reader.readline()
-                    except (ConnectionError, asyncio.IncompleteReadError):
+                        line = await reader.readuntil(b"\n")
+                    except asyncio.IncompleteReadError as exc:
+                        line = exc.partial  # EOF: the unterminated tail
+                    except asyncio.LimitOverrunError as exc:
+                        _obs.inc("serve.errors")
+                        self._write_response(
+                            writer, protocol.error_response(
+                                "route", -1,
+                                f"request line exceeds "
+                                f"{protocol.MAX_LINE_BYTES} bytes"))
+                        if await _skip_line(reader, exc.consumed):
+                            continue
+                        break
+                    except ConnectionError:
                         break
                     if not line:
                         break
@@ -255,23 +271,24 @@ class RoutingDaemon:
                         line_task.add_done_callback(
                             self._request_tasks.discard)
                     else:
-                        # Hot path: decode and enqueue inline, deliver
-                        # via a future callback — no task, no lock, no
-                        # per-response drain (response writes happen on
-                        # the loop thread, where write() only buffers;
-                        # the transport flushes on close).
-                        self._handle_line_fast(line, writer, pending)
+                        # Hot path: decode and enqueue inline; the
+                        # batch writes this connection's answers
+                        # itself — no task, no lock, no future, no
+                        # per-response drain (writes happen on the
+                        # loop thread, where write() only buffers; the
+                        # transport flushes on close).
+                        self._handle_line_fast(line, conn)
             finally:
                 if line_tasks:
                     await asyncio.gather(*list(line_tasks),
                                          return_exceptions=True)
-                if pending:
+                if conn.outstanding:
                     # Batches still in flight for this connection:
-                    # their response callbacks must run before the
-                    # writer closes.
-                    await asyncio.gather(*list(pending),
-                                         return_exceptions=True)
-                    await asyncio.sleep(0)
+                    # their answers must be written before the writer
+                    # closes.
+                    conn.drained = \
+                        asyncio.get_running_loop().create_future()
+                    await conn.drained
                 if conn_span is not None:
                     conn_span.finish()
                 self._writers.discard(writer)
@@ -315,41 +332,30 @@ class RoutingDaemon:
             if opened is not None:
                 opened.finish(status=status)
 
-    def _handle_line_fast(self, line: bytes,
-                          writer: asyncio.StreamWriter,
-                          pending: set) -> None:
+    def _handle_line_fast(self, line: bytes, conn: "_Connection") -> None:
         """The untraced request path, run inline in the reader loop:
-        decode, enqueue, and hook the response write onto the batch
-        future — per-request work the event loop cannot avoid, and
-        nothing else."""
+        decode and enqueue with the connection as the answer's sink —
+        per-request work the event loop cannot avoid, and nothing
+        else."""
         try:
             request = protocol.decode_request(line)
         except ProtocolError as exc:
             _obs.inc("serve.errors")
             self._write_response(
-                writer, protocol.error_response("route", -1, str(exc)))
+                conn.writer, protocol.error_response("route", -1,
+                                                     str(exc)))
             return
         _obs.inc(f"serve.requests.{request.op}")
-        outcome = self._submit_nowait(request)
-        if isinstance(outcome, protocol.RouteResponse):
-            self._write_response(writer, outcome)
-            return
-        pending.add(outcome)
-
-        def deliver(future: "asyncio.Future") -> None:
-            pending.discard(future)
-            self._write_response(writer, future.result())
-
-        outcome.add_done_callback(deliver)
+        rejected = self._offer(request, conn)
+        if rejected is not None:
+            self._write_response(conn.writer, rejected)
+        else:
+            conn.outstanding += 1
 
     def _write_response(self, writer: asyncio.StreamWriter,
                         response: protocol.RouteResponse) -> None:
-        payload = (protocol.encode_response(response) + "\n") \
-            .encode("utf-8")
-        try:
-            writer.write(payload)
-        except (ConnectionError, RuntimeError):
-            pass  # client went away; nothing to tell it
+        _write(writer, (protocol.encode_response(response) + "\n")
+               .encode("utf-8"))
 
     async def _send(self, writer: asyncio.StreamWriter,
                     write_lock: asyncio.Lock,
@@ -365,17 +371,17 @@ class RoutingDaemon:
 
     # -- coalescing ----------------------------------------------------
 
-    def _submit_nowait(self, request: protocol.RouteRequest):
-        """Offer a request to the coalescer; an immediate
-        :class:`~repro.serve.protocol.RouteResponse` (rejection) or the
-        future its batch will resolve."""
-        loop = asyncio.get_running_loop()
+    def _offer(self, request: protocol.RouteRequest, sink):
+        """Offer a request to the coalescer with the sink its answer
+        goes to — a future (traced path) or a :class:`_Connection`
+        (hot path).  Returns the immediate rejection response, or
+        ``None`` once the request is queued."""
         if self._stopping:
             _obs.inc("serve.rejected")
             return protocol.rejected_response(request)
-        future: "asyncio.Future" = loop.create_future()
         verdict, batch = self._coalescer.offer(
-            request.coalesce_key(), (request, future), loop.time())
+            request.coalesce_key(), (request, sink),
+            asyncio.get_running_loop().time())
         if verdict == REJECT:
             _obs.inc("serve.rejected")
             return protocol.rejected_response(request)
@@ -383,14 +389,15 @@ class RoutingDaemon:
             self._spawn_dispatch(batch)
         else:
             self._arm_timer()
-        return future
+        return None
 
     async def _submit(self, request: protocol.RouteRequest
                       ) -> protocol.RouteResponse:
-        outcome = self._submit_nowait(request)
-        if isinstance(outcome, protocol.RouteResponse):
-            return outcome
-        return await outcome
+        future = asyncio.get_running_loop().create_future()
+        rejected = self._offer(request, future)
+        if rejected is not None:
+            return rejected
+        return await future
 
     def _arm_timer(self) -> None:
         if self._timer is None or self._timer.done():
@@ -425,9 +432,19 @@ class RoutingDaemon:
                 protocol.error_response(request.op, request.id, message)
                 for request in requests
             ]
-        for (_request, future), response in zip(items, responses):
-            if not future.done():
-                future.set_result(response)
+        # Hot-path answers are grouped by connection: one write per
+        # connection per batch, lines in item order.
+        lines_by_conn: dict = {}
+        for (_request, sink), response in zip(items, responses):
+            if isinstance(sink, _Connection):
+                lines = lines_by_conn.get(sink)
+                if lines is None:
+                    lines = lines_by_conn[sink] = []
+                lines.append(protocol.encode_response(response))
+            elif not sink.done():
+                sink.set_result(response)
+        for conn, lines in lines_by_conn.items():
+            conn.deliver(lines)
 
     # -- engine dispatch (worker thread) -------------------------------
 
@@ -482,6 +499,51 @@ class RoutingDaemon:
         _obs.inc("serve.batches")
         _obs.observe("serve.batch_size", len(rows))
         return responses
+
+
+class _Connection:
+    """One connection's hot-path state: its writer, and how many of
+    its requests still wait in the coalescer or an engine."""
+
+    __slots__ = ("writer", "outstanding", "drained")
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        self.outstanding = 0
+        #: Set by the closing connection; resolved by the last answer.
+        self.drained: Optional[asyncio.Future] = None
+
+    def deliver(self, lines: list) -> None:
+        """Write a batch's encoded answers for this connection in one
+        ``write``."""
+        _write(self.writer, ("\n".join(lines) + "\n").encode("utf-8"))
+        self.outstanding -= len(lines)
+        if not self.outstanding and self.drained is not None \
+                and not self.drained.done():
+            self.drained.set_result(None)
+
+
+def _write(writer: asyncio.StreamWriter, payload: bytes) -> None:
+    try:
+        writer.write(payload)
+    except (ConnectionError, RuntimeError):
+        pass  # client went away; nothing to tell it
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int
+                     ) -> bool:
+    """Discard the rest of an over-limit line: the ``consumed`` bytes
+    already buffered, then everything up to and including the next
+    newline.  False when the peer closed first."""
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,8 @@ from typing import Optional, Tuple, Union
 from ..errors import ProtocolError
 
 __all__ = [
+    "MAX_LINE_BYTES",
+    "MAX_ORDER",
     "OPS",
     "PROTOCOL_VERSION",
     "RouteRequest",
@@ -73,6 +75,18 @@ OPS = ("route", "membership", "setup", "packet")
 
 #: Response statuses: computed / failed / shed under backpressure.
 STATUSES = ("ok", "error", "rejected")
+
+#: The largest network order the engines serve: the composed engine
+#: routes up to ``B(18)``, 2^18 terminals.
+MAX_ORDER = 18
+
+#: The longest request line the daemon reads: an order-
+#: :data:`MAX_ORDER` tag vector with every tag at full decimal width
+#: and a ``", "`` separator, plus 64 KiB for the other fields (a fault
+#: list of a few thousand triples).  A longer line is answered with
+#: ``status="error"`` and skipped; the connection stays open.
+MAX_LINE_BYTES = ((1 << MAX_ORDER) * (len(str((1 << MAX_ORDER) - 1)) + 2)
+                  + 64 * 1024)
 
 Row = Tuple[int, ...]
 States = Tuple[Tuple[int, ...], ...]
@@ -101,13 +115,23 @@ def wire_to_stuck(stuck: Optional[Stuck]) -> Optional[dict]:
 
 
 def _require(condition: bool, message: str) -> None:
+    # Callers whose message is formatted test the condition themselves
+    # and raise, so a valid message never pays for the formatting.
     if not condition:
         raise ProtocolError(message)
 
 
+_INT_ONLY = {int}
+
+
 def _int_tuple(values, what: str) -> Row:
-    _require(isinstance(values, (list, tuple)) and len(values) > 0,
-             f"{what} must be a non-empty list of integers")
+    if not (isinstance(values, (list, tuple)) and len(values) > 0):
+        raise ProtocolError(f"{what} must be a non-empty list of integers")
+    # One C-level pass over the element types accepts the common case;
+    # anything else (bools, int subclasses, non-integers) takes the
+    # per-element loop, which gives the verdict and the message.
+    if set(map(type, values)) == _INT_ONLY:
+        return tuple(values)
     out = []
     for value in values:
         _require(isinstance(value, int) and not isinstance(value, bool),
@@ -146,12 +170,13 @@ class RouteRequest:
     v: int = PROTOCOL_VERSION
 
     def __post_init__(self):
-        _require(self.op in OPS,
-                 f"unknown op {self.op!r}; expected one of "
-                 f"{', '.join(OPS)}")
-        _require(self.v == PROTOCOL_VERSION,
-                 f"unsupported protocol version {self.v!r} "
-                 f"(this daemon speaks v{PROTOCOL_VERSION})")
+        if self.op not in OPS:
+            raise ProtocolError(f"unknown op {self.op!r}; expected one "
+                                f"of {', '.join(OPS)}")
+        if self.v != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"unsupported protocol version {self.v!r} "
+                f"(this daemon speaks v{PROTOCOL_VERSION})")
         object.__setattr__(self, "tags",
                            _int_tuple(self.tags, "tags"))
         _require(isinstance(self.id, int)
@@ -225,13 +250,15 @@ class RouteResponse:
     v: int = PROTOCOL_VERSION
 
     def __post_init__(self):
-        _require(self.op in OPS,
-                 f"unknown op {self.op!r} in response")
-        _require(self.status in STATUSES,
-                 f"unknown status {self.status!r}; expected one of "
-                 f"{', '.join(STATUSES)}")
-        _require(self.v == PROTOCOL_VERSION,
-                 f"unsupported protocol version {self.v!r}")
+        if self.op not in OPS:
+            raise ProtocolError(f"unknown op {self.op!r} in response")
+        if self.status not in STATUSES:
+            raise ProtocolError(
+                f"unknown status {self.status!r}; expected one of "
+                f"{', '.join(STATUSES)}")
+        if self.v != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"unsupported protocol version {self.v!r}")
         if self.mapping is not None:
             object.__setattr__(self, "mapping",
                                _int_tuple(self.mapping, "mapping"))
@@ -281,12 +308,13 @@ def encode_response(response: RouteResponse) -> str:
     }
     if response.success is not None:
         payload["success"] = response.success
+    # Tuples encode exactly as lists do: no per-field copies.
     if response.mapping is not None:
-        payload["mapping"] = list(response.mapping)
+        payload["mapping"] = response.mapping
     if response.per_stage is not None:
-        payload["per_stage"] = list(response.per_stage)
+        payload["per_stage"] = response.per_stage
     if response.stage_states is not None:
-        payload["states"] = [list(col) for col in response.stage_states]
+        payload["states"] = response.stage_states
     if response.engine is not None:
         payload["engine"] = response.engine
     if response.error is not None:
@@ -304,19 +332,23 @@ def _parse_line(line: Union[str, bytes], what: str) -> dict:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"{what} line is not valid JSON: {exc}")
-    _require(isinstance(payload, dict),
-             f"{what} line must be a JSON object")
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"{what} line must be a JSON object")
     return payload
+
+
+_REQUEST_FIELDS = frozenset(("v", "op", "id", "tags", "omega", "states",
+                             "stuck"))
 
 
 def decode_request(line: Union[str, bytes]) -> RouteRequest:
     """Parse and validate one request line; any malformation raises
     :class:`~repro.errors.ProtocolError`."""
     payload = _parse_line(line, "request")
-    unknown = set(payload) - {"v", "op", "id", "tags", "omega",
-                              "states", "stuck"}
-    _require(not unknown,
-             f"unknown request fields: {', '.join(sorted(unknown))}")
+    unknown = payload.keys() - _REQUEST_FIELDS
+    if unknown:
+        raise ProtocolError(
+            f"unknown request fields: {', '.join(sorted(unknown))}")
     _require("op" in payload and "tags" in payload,
              "request must carry op and tags")
     return RouteRequest(
@@ -351,6 +383,28 @@ def decode_response(line: Union[str, bytes]) -> RouteResponse:
 # Builders — THE slicing code, shared by daemon and parity tests
 # ----------------------------------------------------------------------
 
+def _is_int_array(values) -> bool:
+    dtype = getattr(values, "dtype", None)
+    return dtype is not None and dtype.kind in "iu"
+
+
+def _row(values) -> Row:
+    """One lane row as Python ints: a single ``tolist()`` for an
+    integer ndarray, ``int()`` per element for the pure-Python
+    engines' sequences."""
+    if _is_int_array(values):
+        return tuple(values.tolist())
+    return tuple(int(v) for v in values)
+
+
+def _columns(values) -> States:
+    """A lane's ``(2n-1, N/2)`` switch states as tuples of Python
+    ints (see :func:`_row`)."""
+    if _is_int_array(values):
+        return tuple(map(tuple, values.tolist()))
+    return tuple(tuple(int(s) for s in column) for column in values)
+
+
 def from_batch_result(request: RouteRequest, result, index: int,
                       engine: Optional[str] = None) -> RouteResponse:
     """The response for lane ``index`` of a
@@ -361,19 +415,20 @@ def from_batch_result(request: RouteRequest, result, index: int,
     per_stage = None
     if result.per_stage is not None:
         # per_stage is (2n-1, B): column `index` is this lane's counts.
-        per_stage = tuple(int(row[index]) for row in result.per_stage)
+        if _is_int_array(result.per_stage):
+            per_stage = _row(result.per_stage[:, index])
+        else:
+            per_stage = tuple(int(row[index])
+                              for row in result.per_stage)
     stage_states = None
     if request.stage_states and result.stage_states is not None:
-        stage_states = tuple(
-            tuple(int(s) for s in column)
-            for column in result.stage_states[index]
-        )
+        stage_states = _columns(result.stage_states[index])
     return RouteResponse(
         op=request.op,
         id=request.id,
         status="ok",
         success=bool(result.success_mask[index]),
-        mapping=tuple(int(v) for v in result.mappings[index]),
+        mapping=_row(result.mappings[index]),
         per_stage=per_stage,
         stage_states=stage_states,
         engine=engine,
@@ -405,7 +460,7 @@ def from_partial_result(request: RouteRequest, result, index: int,
         id=request.id,
         status="ok",
         success=bool(result.success_mask[index]),
-        mapping=tuple(int(v) for v in result.delivered[index]),
+        mapping=_row(result.delivered[index]),
         engine=engine,
     )
 
@@ -420,10 +475,7 @@ def from_setup_states(request: RouteRequest, states_batch, index: int,
         id=request.id,
         status="ok",
         success=True,
-        stage_states=tuple(
-            tuple(int(s) for s in column)
-            for column in states_batch[index]
-        ),
+        stage_states=_columns(states_batch[index]),
         engine=engine,
     )
 

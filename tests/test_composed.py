@@ -248,10 +248,30 @@ class TestEngineIntegration:
         assert resolve_engine("auto", order=6,
                               batch_size=1) == "composed"
 
-    def test_threshold_env_garbage_ignored(self, monkeypatch):
+    def test_threshold_env_garbage_raises(self, monkeypatch):
+        # regression: a malformed value used to fall back to the
+        # default silently
         monkeypatch.setenv("BENES_COMPOSED_ORDER", "soon")
+        with pytest.raises(InvalidParameterError,
+                           match="BENES_COMPOSED_ORDER"):
+            composed_order_threshold()
+
+    def test_threshold_env_empty_means_default(self, monkeypatch):
+        monkeypatch.setenv("BENES_COMPOSED_ORDER", "")
         assert composed_order_threshold() == \
             _np_mod.DEFAULT_COMPOSED_ORDER
+
+    def test_sub_order_env_garbage_raises(self, monkeypatch):
+        monkeypatch.setenv("BENES_COMPOSED_SUB_ORDER", "ten")
+        with pytest.raises(InvalidParameterError,
+                           match="BENES_COMPOSED_SUB_ORDER"):
+            composed_plan(6)
+
+    def test_chunk_env_garbage_raises(self, monkeypatch, rng):
+        monkeypatch.setenv("BENES_COMPOSED_CHUNK", "1.5")
+        with pytest.raises(InvalidParameterError,
+                           match="BENES_COMPOSED_CHUNK"):
+            composed_setup_states(4, _rows(4, 1, rng))
 
     def test_obs_provider_registered(self):
         from repro import obs

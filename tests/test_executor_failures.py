@@ -12,7 +12,11 @@ Pins the two bugfix satellites of the verification PR:
   consistent (including the in-flight ``building`` count).
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -364,3 +368,30 @@ class TestAutotuneCacheIO:
 
         raw = _json.loads(target.read_text(encoding="utf-8"))
         assert raw["orders"]["3"]["crossover"] == 4
+
+
+class TestShardThresholdEnv:
+    """``BENES_SHARD_THRESHOLD`` is read once, at import, so these run
+    a fresh interpreter."""
+
+    def _import_executor(self, value):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, BENES_SHARD_THRESHOLD=value,
+                   PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-c",
+             "from repro.accel import executor; "
+             "print(executor.SHARD_THRESHOLD)"],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    def test_malformed_value_raises_typed_error(self):
+        # regression: a bare ValueError from int() escaped at import
+        result = self._import_executor("lots")
+        assert result.returncode != 0
+        assert "InvalidParameterError" in result.stderr
+        assert "BENES_SHARD_THRESHOLD" in result.stderr
+
+    def test_valid_value_is_used(self):
+        result = self._import_executor("64")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "64"

@@ -16,16 +16,22 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
 import socket
 import subprocess
 import sys
 import threading
 
+import enum
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.accel import batch_self_route
+from repro.accel import batch_in_class_f, batch_self_route
 from repro.accel._np import resolve_engine
+from repro.accel.partial import batch_route_partial
 from repro.accel.setup import batch_setup_states
 from repro.core import BenesNetwork, Permutation, random_permutation
 from repro.core.fastpath import fast_self_route
@@ -39,6 +45,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.serve.coalescer import FLUSH, QUEUED, REJECT
+from repro.verify.workloads import partial_rows
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -55,6 +62,54 @@ def _daemon(**overrides):
                     warm_orders=(2, 3))
     defaults.update(overrides)
     return start_in_thread(ServeConfig(**defaults))
+
+
+def _exchange(address, requests):
+    """Send ``requests`` pipelined on one connection; their raw answer
+    lines keyed by id."""
+    with socket.create_connection(address, timeout=60.0) as sock:
+        sock.sendall("".join(protocol.encode_request(request) + "\n"
+                             for request in requests).encode("utf-8"))
+        reader = sock.makefile("rb")
+        lines = [reader.readline() for _ in requests]
+    return {protocol.decode_response(line).id: line for line in lines}
+
+
+def _old_int_tuple(values, what):
+    """The per-element validation loop ``_int_tuple`` had before its
+    C-level fast path, frozen here as the oracle."""
+    if not (isinstance(values, (list, tuple)) and len(values) > 0):
+        raise ProtocolError(f"{what} must be a non-empty list of integers")
+    out = []
+    for value in values:
+        if not (isinstance(value, int) and not isinstance(value, bool)):
+            raise ProtocolError(f"{what} must contain only integers")
+        out.append(value)
+    return tuple(out)
+
+
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+_JSON_SCALARS = st.one_of(
+    st.integers(), st.booleans(), st.floats(allow_nan=False),
+    st.text(max_size=3), st.none(), st.sampled_from(list(_Level)))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=2), children, max_size=2)),
+    max_leaves=12)
+
+
+def _verdict(check, values):
+    try:
+        return "ok", repr(check(values, "tags"))
+    except ProtocolError as exc:
+        return "error", str(exc)
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +191,51 @@ class TestProtocol:
                                   stage_states=True),
         ):
             assert base.coalesce_key() != other.coalesce_key()
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.one_of(_JSON_VALUES, st.lists(st.integers(),
+                                                   min_size=1)))
+    def test_int_tuple_matches_per_element_loop(self, values):
+        """The C-level fast path changes no verdict and no message:
+        the same tuple (element types included) or the same error."""
+        assert _verdict(protocol._int_tuple, values) == \
+            _verdict(_old_int_tuple, values)
+
+    @pytest.mark.parametrize("values", [
+        [0, True], [False], [1, 2.0], [[0, 1]], [], (), "01", None,
+        {"0": 1}, [_Level.HIGH, 0],
+    ])
+    def test_int_tuple_edge_cases_match(self, values):
+        assert _verdict(protocol._int_tuple, values) == \
+            _verdict(_old_int_tuple, values)
+
+    def test_array_rows_build_python_ints(self):
+        # ndarray lanes go through one tolist(); the response must hold
+        # Python ints (bools would encode as true/false)
+        np = pytest.importorskip("numpy")
+        rows = [(3, 1, 2, 0), (0, 1, 2, 3)]
+        result = batch_self_route(rows, stage_states=True,
+                                  engine="numpy")
+        assert isinstance(result.mappings, np.ndarray)
+        request = protocol.RouteRequest(op="route", tags=rows[0],
+                                        stage_states=True)
+        response = protocol.from_batch_result(request, result, 0)
+        assert {type(v) for v in response.mapping} == {int}
+        assert {type(s) for column in response.stage_states
+                for s in column} == {int}
+        scalar = batch_self_route(rows, stage_states=True,
+                                  engine="scalar")
+        assert protocol.encode_response(response) == \
+            protocol.encode_response(
+                protocol.from_batch_result(request, scalar, 0))
+        # per-stage counts: an ndarray column vs the bitslice lists
+        counted = [protocol.from_batch_result(
+            request, batch_self_route(rows, stage_data=True,
+                                      engine=engine), 1)
+            for engine in ("numpy", "bitslice")]
+        assert counted[0].per_stage is not None
+        assert protocol.encode_response(counted[0]) == \
+            protocol.encode_response(counted[1])
 
     def test_from_batch_result_slices_one_lane(self):
         rows = [(3, 1, 2, 0), (0, 1, 2, 3), (1, 0, 3, 2)]
@@ -313,6 +413,181 @@ class TestDaemon:
                                            engine)) + "\n") \
                 .encode("utf-8")
             assert by_id[request.id] == expected
+
+    @pytest.mark.parametrize("op, options", [
+        ("route", {}),
+        ("route", {"omega_mode": True}),
+        ("route", {"stuck": ((1, 0, 1), (4, 3, 0))}),
+        ("route", {"stage_states": True}),
+        ("membership", {}),
+        ("setup", {}),
+        ("packet", {}),
+    ], ids=["route", "omega", "stuck", "states", "membership", "setup",
+            "packet"])
+    def test_every_op_byte_identical_to_direct(self, rng, op, options):
+        """Every op's wire bytes equal ``encode_response(from_*(...))``
+        over a direct engine call on the same coalesced batch."""
+        order, batch = 3, 6
+        if op == "packet":
+            rows = partial_rows(order, batch, rng)
+        else:
+            rows = [random_permutation(8, rng).as_tuple()
+                    for _ in range(batch)]
+        requests = [protocol.RouteRequest(op=op, tags=row, id=index + 1,
+                                          **options)
+                    for index, row in enumerate(rows)]
+        with _daemon(max_batch=batch) as handle:
+            by_id = _exchange(handle.address, requests)
+        head = requests[0]
+        engine = resolve_engine(
+            None, order=order, batch_size=batch,
+            kind="setup" if op == "setup" else "route")
+        if op == "route":
+            direct = batch_self_route(
+                rows, omega_mode=head.omega_mode,
+                stuck_switches=head.stuck_switches,
+                stage_states=head.stage_states, engine=engine)
+            build = protocol.from_batch_result
+        elif op == "membership":
+            direct = batch_in_class_f(rows, engine=engine)
+            build = protocol.from_membership_mask
+        elif op == "setup":
+            direct = batch_setup_states(order, rows, engine=engine)
+            build = protocol.from_setup_states
+        else:
+            direct = batch_route_partial(rows, engine=engine)
+            build = protocol.from_partial_result
+        for index, request in enumerate(requests):
+            expected = protocol.encode_response(
+                build(request, direct, index, engine)) + "\n"
+            assert by_id[request.id] == expected.encode("utf-8")
+
+    def test_connection_lanes_answered_once_per_line(self, rng):
+        """Two connections, several lanes each per batch: the grouped
+        per-connection write delivers every id exactly once, each on
+        its own intact canonical line."""
+        rows = [random_permutation(8, rng).as_tuple()
+                for _ in range(12)]
+        expected = [fast_self_route(row) for row in rows]
+        received: dict = {}
+        with _daemon(max_batch=8) as handle:
+            def worker(conn):
+                base = 100 * (conn + 1)
+                requests = [protocol.RouteRequest(op="route", tags=row,
+                                                  id=base + index)
+                            for index, row in enumerate(rows)]
+                with socket.create_connection(handle.address,
+                                              timeout=60.0) as sock:
+                    sock.sendall("".join(
+                        protocol.encode_request(request) + "\n"
+                        for request in requests).encode("utf-8"))
+                    sock.shutdown(socket.SHUT_WR)
+                    received[conn] = sock.makefile("rb").read()
+
+            threads = [threading.Thread(target=worker, args=(conn,))
+                       for conn in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert sorted(received) == [0, 1]
+        for conn, raw in received.items():
+            assert raw.endswith(b"\n")
+            lines = raw.split(b"\n")[:-1]
+            base = 100 * (conn + 1)
+            ids = []
+            for line in lines:
+                response = protocol.decode_response(line)
+                assert protocol.encode_response(response).encode(
+                    "utf-8") == line
+                ok, dst = expected[response.id - base]
+                assert response.status == "ok"
+                assert (response.success, response.mapping) == (ok, dst)
+                ids.append(response.id)
+            assert sorted(ids) == list(range(base, base + len(rows)))
+
+    def test_dispatch_writes_once_per_connection(self):
+        """A batch's hot-path answers reach each connection in one
+        write, in item order; future sinks (the traced path) are
+        resolved as before."""
+        import asyncio
+
+        from repro.serve.daemon import RoutingDaemon, _Connection
+
+        class _Writer:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, payload):
+                self.writes.append(payload)
+
+        rows = [(3, 1, 2, 0), (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)]
+        requests = [protocol.RouteRequest(op="route", tags=row, id=index)
+                    for index, row in enumerate(rows)]
+        first, second = _Writer(), _Writer()
+
+        async def scenario():
+            daemon = RoutingDaemon(ServeConfig(port=0, warm_orders=()))
+            conns = [_Connection(first), _Connection(second)]
+            future = asyncio.get_running_loop().create_future()
+            sinks = [conns[0], conns[1], conns[0], future]
+            for conn in conns:
+                conn.outstanding = sinks.count(conn)
+            await daemon._dispatch(list(zip(requests, sinks)))
+            return conns, future.result()
+
+        conns, traced = asyncio.run(scenario())
+        assert [conn.outstanding for conn in conns] == [0, 0]
+        assert len(first.writes) == len(second.writes) == 1
+        lines = first.writes[0].split(b"\n")
+        assert lines[-1] == b""
+        assert [protocol.decode_response(line).id
+                for line in lines[:-1]] == [0, 2]
+        assert protocol.decode_response(second.writes[0]).id == 1
+        assert traced.id == 3 and traced.status == "ok"
+
+    def test_order_14_route_over_the_wire(self):
+        # regression: a request longer than asyncio's 64 KiB default
+        # line limit dropped the connection without an answer
+        tags = random_permutation(1 << 14, random.Random(14)).as_tuple()
+        with _daemon() as handle:
+            with ServeClient(*handle.address) as client:
+                response = client.request(protocol.RouteRequest(
+                    op="route", tags=tags, id=14))
+        ok, dst = fast_self_route(tags)
+        assert response.status == "ok"
+        assert (response.success, response.mapping) == (ok, dst)
+
+    def test_line_limit_boundary(self):
+        """A line of exactly MAX_LINE_BYTES is read; one byte more is
+        answered with an error, counted, skipped, and the connection
+        keeps serving."""
+        obs.enable()
+        limit = protocol.MAX_LINE_BYTES
+
+        def padded(request_id, size):
+            head = b'{"op":"route","tags":[1,0],"id":%d' % request_id
+            return head + b" " * (size - len(head) - 1) + b"}\n"
+
+        with _daemon() as handle:
+            with socket.create_connection(handle.address,
+                                          timeout=60.0) as sock:
+                reader = sock.makefile("rb")
+                at_limit = padded(5, limit)
+                assert len(at_limit) == limit + 1  # plus the newline
+                sock.sendall(at_limit)
+                answered = protocol.decode_response(reader.readline())
+                sock.sendall(padded(6, limit + 1))
+                refused = protocol.decode_response(reader.readline())
+                sock.sendall((protocol.encode_request(
+                    protocol.RouteRequest(op="route", tags=(1, 0), id=7))
+                    + "\n").encode("utf-8"))
+                after = protocol.decode_response(reader.readline())
+        assert (answered.id, answered.status) == (5, "ok")
+        assert (refused.id, refused.status) == (-1, "error")
+        assert str(limit) in refused.error
+        assert (after.id, after.status) == (7, "ok")
+        assert obs.snapshot()["counters"]["serve.errors"] == 1
 
     def test_membership_and_setup_ops(self, rng):
         perms = [random_permutation(8, rng).as_tuple()
