@@ -27,7 +27,6 @@ __all__ = [
     "BitslicePlan",
     "PartialBatchResult",
     "ComposedPlan",
-    "ENGINES",
     "LRUCache",
     "SetupPlan",
     "StagePlan",
@@ -47,7 +46,6 @@ __all__ = [
     "bitslice_plan_cache",
     "bitslice_route_with_states",
     "bitslice_self_route",
-    "bitslice_setup_states",
     "bitslice_two_pass",
     "cache_clear",
     "cache_stats",
@@ -85,7 +83,6 @@ _EXPORTS = {
     "BitslicePlan": "bitslice",
     "PartialBatchResult": "partial",
     "ComposedPlan": "composed",
-    "ENGINES": "_np",
     "LRUCache": "lru",
     "SetupPlan": "setup",
     "StagePlan": "plans",
@@ -105,7 +102,6 @@ _EXPORTS = {
     "bitslice_plan_cache": "plans",
     "bitslice_route_with_states": "bitslice",
     "bitslice_self_route": "bitslice",
-    "bitslice_setup_states": "bitslice",
     "bitslice_two_pass": "bitslice",
     "cache_clear": "plans",
     "cache_stats": "plans",

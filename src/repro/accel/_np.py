@@ -32,15 +32,12 @@ import os
 from ..errors import InvalidParameterError, MissingDependencyError
 
 __all__ = ["numpy_or_none", "require_numpy", "have_numpy",
-           "resolve_engine", "composed_order_threshold", "ENGINES",
+           "resolve_engine", "composed_order_threshold",
            "DEFAULT_COMPOSED_ORDER", "FORCE_FALLBACK", "FORCE_ENGINE"]
 
 #: Test hook: set to True (e.g. via monkeypatch) to behave as if NumPy
 #: were not installed, exercising every pure-Python fallback path.
 FORCE_FALLBACK = False
-
-#: The concrete batch execution engines behind the accel entry points.
-ENGINES = ("scalar", "numpy", "bitslice")
 
 #: Test hook: set to an engine name (or ``"auto"``) to steer every
 #: resolution that was not given an explicit ``engine=`` keyword —
@@ -117,8 +114,9 @@ def require_numpy(feature: str):
 
 def resolve_engine(engine=None, *, order=None, batch_size=None,
                    kind: str = "route") -> str:
-    """Resolve a requested engine to a concrete member of
-    :data:`ENGINES`.
+    """Resolve a requested engine to a concrete execution engine (a
+    registered exec-seam name: ``scalar``, ``numpy``, ``bitslice``,
+    ``composed``).
 
     ``engine`` is the entry point's explicit keyword (``None`` means
     "not specified"); :data:`FORCE_ENGINE` and the ``BENES_ENGINE``
@@ -145,8 +143,7 @@ def resolve_engine(engine=None, *, order=None, batch_size=None,
     Validation is delegated to the first-class registry
     (:func:`repro.engines.require_exec`): the accepted names are the
     registered exec-seam engines, so registering a new engine extends
-    this seam without touching it.  :data:`ENGINES` stays as the
-    built-in tuple for documentation and the registry bootstrap.
+    this seam without touching it.
     """
     requested = engine
     if requested is None:
@@ -155,23 +152,10 @@ def resolve_engine(engine=None, *, order=None, batch_size=None,
     if requested != "auto":
         # Imported lazily: repro.engines builds its built-in specs on
         # top of this module, so the dependency must point one way at
-        # import time.  The fallback keeps bootstrap uses (the
-        # registry's own adapters) working before registration ends.
-        try:
-            from ..engines import require_exec
-        except ImportError:
-            require_exec = None
-        if require_exec is not None:
-            require_exec(requested)
-            return requested
-        if requested not in ENGINES:
-            raise InvalidParameterError(
-                f"unknown accel engine {requested!r}; choose one of "
-                f"{', '.join(ENGINES)} or 'auto' (also settable via "
-                "the BENES_ENGINE environment variable)"
-            )
-        if requested == "numpy":
-            require_numpy("engine='numpy'")
+        # import time.
+        from ..engines import require_exec
+
+        require_exec(requested)
         return requested
     if order is not None and order >= composed_order_threshold():
         return "composed"

@@ -47,18 +47,14 @@ fast path and the structural :class:`~repro.core.benes.BenesNetwork`
 is pinned by ``tests/test_accel.py`` (exhaustively for small orders,
 randomized via hypothesis for larger).
 
-When :mod:`repro.obs` is enabled the engine reports call/item counts,
-success/failure tallies, per-stage switch-flip totals, batch-size and
-wall-time histograms under the ``accel.*`` metric names; disabled, the
-only cost is one flag check per call.
+Each entry point is one call to :func:`repro.accel.dispatch.run`,
+which resolves the engine, validates, shards and records the
+``accel.*`` metrics; this module holds the NumPy and scalar-loop
+kernels it dispatches to.
 """
 
 from __future__ import annotations
 
-from time import perf_counter as _perf_counter
-
-from .. import obs as _obs
-from ..core.bits import log2_exact
 from ..core.fastpath import (
     fast_route_with_states,
     fast_self_route,
@@ -68,8 +64,7 @@ from ..core.routing import BatchRouteResult
 from ..core.switch import validate_stuck_switches
 from ..errors import InvalidParameterError, SizeMismatchError
 from ..obs.spans import spanned as _spanned
-from . import executor as _executor
-from ._np import numpy_or_none, resolve_engine
+from ._np import numpy_or_none
 from .plans import stage_plan
 
 __all__ = [
@@ -101,18 +96,6 @@ def _order_hint(width):
     return None
 
 
-def _resolve(engine, *, order, batch_size, kind="route"):
-    """Resolve the engine for one user-facing call and record the
-    decision (``accel.engine_selected.<engine>``).  Shard-side calls
-    arrive with the dispatcher's concrete engine and skip the counter
-    — the selection happened once, at the dispatching call."""
-    resolved = resolve_engine(engine, order=order,
-                              batch_size=batch_size, kind=kind)
-    if _obs.enabled() and not _executor.in_shard():
-        _obs.inc(f"accel.engine_selected.{resolved}")
-    return resolved
-
-
 def _as_tag_array(np, tags_batch):
     """Validate a batch of tag vectors as a ``(B, N)`` int64 array."""
     arr = np.asarray(tags_batch, dtype=np.int64)
@@ -128,6 +111,20 @@ def _as_tag_array(np, tags_batch):
             "values cannot address any output"
         )
     return arr
+
+
+def _as_states_array(np, states_batch, order: int):
+    """Validate a batch of external switch states as a
+    ``(B, 2*order - 1, N/2)`` int64 array."""
+    plan = stage_plan(order)  # rejects an invalid order first
+    states = np.asarray(states_batch, dtype=np.int64)
+    expected = (plan.n_stages, plan.n_terminals // 2)
+    if states.ndim != 3 or states.shape[1:] != expected:
+        raise SizeMismatchError(
+            f"expected a (B, {expected[0]}, {expected[1]}) batch of "
+            f"switch states for order {order}, got shape {states.shape}"
+        )
+    return states
 
 
 def _reject_scalar_options(entry: str, options: dict) -> None:
@@ -245,43 +242,108 @@ def _route_array(np, rows, order, stage_cross=None, omega_mode=False,
     return rows
 
 
-def _record_batch_metrics(kind, batch_size, seconds, n_success=None,
-                          per_stage=None, scope="full"):
-    """Feed one batch call into the registry (metrics are enabled).
+# ----------------------------------------------------------------------
+# Kernels — one per (op, engine); repro.accel.dispatch.KERNELS maps them.
+# Each takes the rows (the validated array on the NumPy path), a
+# ``tally`` list to append whole-batch per-stage crossed-switch totals
+# to (metrics on) or None, and the op's options.
+# ----------------------------------------------------------------------
 
-    ``scope`` splits the catalogue so a sharded run's totals equal the
-    inline run's exactly (no double counting between the dispatching
-    call and its shards): ``"call"`` records the once-per-user-call
-    instruments (calls, wall time, batch-size histogram), ``"work"``
-    the per-item ones each shard records for its slice (items,
-    success/failure, per-stage crosses), and ``"full"`` — the inline,
-    unsharded path — both.  Entry points pick ``"work"`` when
-    :func:`repro.accel.executor.in_shard` is true.
-    """
-    if scope != "work":
-        _obs.inc(f"accel.{kind}.calls")
-        _obs.observe(f"accel.{kind}.seconds", seconds)
-        _obs.observe("accel.batch.size", batch_size,
-                     bounds=_obs.POW2_BOUNDS)
-    if scope != "call":
-        _obs.inc(f"accel.{kind}.items", batch_size)
-        if n_success is not None:
-            _obs.inc(f"accel.{kind}.success", n_success)
-            _obs.inc(f"accel.{kind}.failure", batch_size - n_success)
-        if per_stage is not None:
-            # NumPy path entries are (B,) arrays; the bitslice path
-            # hands whole-batch ints per stage.
-            for stage, crosses in enumerate(per_stage):
-                if not isinstance(crosses, int):
-                    crosses = crosses.sum() if hasattr(crosses, "sum") \
-                        else sum(crosses)
-                _obs.inc(f"accel.{kind}.stage_cross.{stage}",
-                         int(crosses))
+def _numpy_self_route(arr, tally, *, order, stuck, omega_mode,
+                      stage_data, stage_states):
+    np = numpy_or_none()
+    n = arr.shape[1]
+    # Pack each value's source row into its high bits; the control rule
+    # only reads tag bits < order, so one array routes both.
+    rows = _working_block(np, arr, n_value_bits=2 * order)
+    rows |= np.arange(n, dtype=rows.dtype)[:, None] << order
+    stage_cross = tally if tally is not None \
+        else ([] if stage_data else None)
+    states_acc = [] if stage_states else None
+    rows = _route_array(np, rows, order, stage_cross=stage_cross,
+                        omega_mode=omega_mode, stuck=stuck,
+                        stage_states=states_acc)
+    tags = rows & (n - 1)
+    success = (tags == np.arange(n, dtype=rows.dtype)[:, None]
+               ).all(axis=0)
+    return BatchRouteResult(
+        success_mask=success,
+        mappings=(rows >> order).T.astype(np.int64),
+        per_stage=(np.array(stage_cross) if stage_data else None),
+        stage_states=(np.transpose(np.array(states_acc), (2, 0, 1))
+                      if stage_states else None),
+    )
 
 
-def _metric_scope() -> str:
-    """``"work"`` inside an executor shard, else ``"full"``."""
-    return "work" if _executor.in_shard() else "full"
+def _scalar_self_route(rows, tally, *, omega_mode, stage_data,
+                       stage_states, stuck_switches):
+    """The per-row fast-path loop (``per_stage`` stays ``None``)."""
+    successes, delivered = [], []
+    states_acc = [] if stage_states else None
+    for tags in rows:
+        if stage_states:
+            ok, dst, st = fast_self_route_states(
+                tags, omega_mode=omega_mode,
+                stuck_switches=stuck_switches,
+            )
+            states_acc.append(st)
+        else:
+            ok, dst = fast_self_route(
+                tags, omega_mode=omega_mode,
+                stuck_switches=stuck_switches,
+            )
+        successes.append(ok)
+        delivered.append(dst)
+    return BatchRouteResult(success_mask=successes, mappings=delivered,
+                            stage_states=states_acc)
+
+
+def _numpy_in_class_f(arr, tally, *, order):
+    np = numpy_or_none()
+    rows = _working_block(np, arr, n_value_bits=order)
+    rows = _route_array(np, rows, order)
+    return (rows == np.arange(arr.shape[1], dtype=rows.dtype)[:, None]
+            ).all(axis=0)
+
+
+def _scalar_in_class_f(rows, tally):
+    # Scalar Theorem 1 recursion early-exits on the first conflict, so
+    # it beats a full scalar routing pass here.
+    from ..core.membership import in_class_f
+
+    return [in_class_f(perm) for perm in rows]
+
+
+def _numpy_route_with_states(states, tally, *, order, stage_data):
+    np = numpy_or_none()
+    plan = stage_plan(order)
+    n = plan.n_terminals
+    batch = states.shape[0]
+    inv_links = plan.np_inv_links()
+    dtype = np.int32 if plan.order <= 31 else np.int64
+    rows = np.repeat(np.arange(n, dtype=dtype)[:, None], batch, axis=1)
+    last_stage = plan.n_stages - 1
+    for stage in range(plan.n_stages):
+        cond = (states[:, stage, :].T != 0).astype(dtype)
+        _swap_stage(rows, cond)
+        if stage < last_stage:
+            rows = rows[inv_links[stage]]
+    # rows[output, b] = source  ->  dest[b, source] = output
+    rows = rows.T.astype(np.int64)
+    dest = np.empty_like(rows)
+    outputs = np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n))
+    np.put_along_axis(dest, rows, outputs, axis=1)
+    return BatchRouteResult(
+        success_mask=np.ones(batch, dtype=bool),
+        mappings=dest,
+        per_stage=((states != 0).sum(axis=2).T if stage_data else None),
+    )
+
+
+def _scalar_route_with_states(rows, tally, *, order, stage_data):
+    mappings = [fast_route_with_states(states, order) for states in rows]
+    return BatchRouteResult(success_mask=[True] * len(mappings),
+                            mappings=mappings)
 
 
 @_spanned("batch.self_route")
@@ -337,129 +399,11 @@ def batch_self_route(tags_batch, *, omega_mode=False, stage_data=False,
         no-NumPy fallback path).
     """
     _reject_scalar_options("batch_self_route", scalar_options)
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    b_hint, n_hint = _batch_dims(tags_batch)
-    engine = _resolve(engine, order=_order_hint(n_hint),
-                      batch_size=b_hint)
-    if engine == "composed":
-        from .composed import composed_self_route
+    from .dispatch import run  # dispatch imports this module
 
-        result = composed_self_route(
-            tags_batch, omega_mode=omega_mode, stage_data=stage_data,
-            stage_states=stage_states, stuck_switches=stuck_switches,
-            parallel=parallel,
-        )
-        if enabled:
-            _record_batch_metrics(
-                "batch", len(result.success_mask),
-                _perf_counter() - t0,
-                n_success=sum(bool(ok) for ok in result.success_mask),
-                scope=_metric_scope(),
-            )
-        return result
-    extra = (omega_mode, stage_data, stuck_switches, stage_states,
-             engine)
-    if engine != "numpy":
-        rows_in = tags_batch if isinstance(tags_batch, list) \
-            else list(tags_batch)
-        if _executor.wants_shards(parallel, len(rows_in)):
-            result = _executor.dispatch(
-                "self_route", rows_in, extra=extra, parallel=parallel,
-            )
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_batch_metrics("batch", len(rows_in),
-                                      _perf_counter() - t0, scope="call")
-            return result
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_self_route
-
-            stage_totals = [] if enabled else None
-            result = bitslice_self_route(
-                rows_in, omega_mode=omega_mode, stage_data=stage_data,
-                stage_states=stage_states,
-                stuck_switches=stuck_switches,
-                _stage_totals=stage_totals,
-            )
-            if enabled:
-                if np is None and scope == "full":
-                    _obs.inc("accel.fallback.calls")
-                _record_batch_metrics("batch", len(result.success_mask),
-                                      _perf_counter() - t0,
-                                      n_success=sum(result.success_mask),
-                                      per_stage=stage_totals,
-                                      scope=scope)
-            return result
-        successes, delivered = [], []
-        states_acc = [] if stage_states else None
-        for tags in rows_in:
-            if stage_states:
-                ok, dst, st = fast_self_route_states(
-                    tags, omega_mode=omega_mode,
-                    stuck_switches=stuck_switches,
-                )
-                states_acc.append(st)
-            else:
-                ok, dst = fast_self_route(
-                    tags, omega_mode=omega_mode,
-                    stuck_switches=stuck_switches,
-                )
-            successes.append(ok)
-            delivered.append(dst)
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_batch_metrics("batch", len(successes),
-                                  _perf_counter() - t0,
-                                  n_success=sum(successes), scope=scope)
-        return BatchRouteResult(success_mask=successes,
-                                mappings=delivered,
-                                stage_states=states_acc)
-    arr = _as_tag_array(np, tags_batch)
-    n = arr.shape[1]
-    order = log2_exact(n)
-    stuck = _stuck_plan(np, order, stuck_switches)  # validates eagerly
-    if _executor.wants_shards(parallel, arr.shape[0]):
-        result = _executor.dispatch(
-            "self_route", arr, extra=extra,
-            parallel=parallel, order_hint=order,
-        )
-        if enabled:
-            # Work-level metrics (items, success/failure, crosses) were
-            # recorded by the shards and merged from their deltas.
-            _record_batch_metrics("batch", int(arr.shape[0]),
-                                  _perf_counter() - t0, scope="call")
-        return result
-    # Pack each value's source row into its high bits; the control rule
-    # only reads tag bits < order, so one array routes both.
-    rows = _working_block(np, arr, n_value_bits=2 * order)
-    rows |= np.arange(n, dtype=rows.dtype)[:, None] << order
-    stage_cross = [] if (stage_data or enabled) else None
-    states_acc = [] if stage_states else None
-    rows = _route_array(np, rows, order, stage_cross=stage_cross,
-                        omega_mode=omega_mode, stuck=stuck,
-                        stage_states=states_acc)
-    tags = rows & (n - 1)
-    success = (tags == np.arange(n, dtype=rows.dtype)[:, None]
-               ).all(axis=0)
-    result = BatchRouteResult(
-        success_mask=success,
-        mappings=(rows >> order).T.astype(np.int64),
-        per_stage=(np.array(stage_cross) if stage_data else None),
-        stage_states=(np.transpose(np.array(states_acc), (2, 0, 1))
-                      if stage_states else None),
-    )
-    if enabled:
-        _record_batch_metrics("batch", int(arr.shape[0]),
-                              _perf_counter() - t0,
-                              n_success=int(success.sum()),
-                              per_stage=stage_cross,
-                              scope=_metric_scope())
-    return result
+    return run("self_route", tags_batch, engine=engine, parallel=parallel,
+               omega_mode=omega_mode, stage_data=stage_data,
+               stage_states=stage_states, stuck_switches=stuck_switches)
 
 
 @_spanned("batch.membership")
@@ -481,74 +425,9 @@ def batch_in_class_f(perms_batch, *, parallel=False, engine=None,
     :class:`~repro.errors.InvalidParameterError`.
     """
     _reject_scalar_options("batch_in_class_f", scalar_options)
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    b_hint, n_hint = _batch_dims(perms_batch)
-    engine = _resolve(engine, order=_order_hint(n_hint),
-                      batch_size=b_hint)
-    if engine == "composed":
-        from .composed import composed_in_class_f
+    from .dispatch import run  # dispatch imports this module
 
-        mask = composed_in_class_f(perms_batch, parallel=parallel)
-        if enabled:
-            _record_batch_metrics(
-                "membership", len(mask), _perf_counter() - t0,
-                n_success=sum(bool(ok) for ok in mask),
-                scope=_metric_scope(),
-            )
-        return mask
-    if engine != "numpy":
-        rows_in = perms_batch if isinstance(perms_batch, list) \
-            else list(perms_batch)
-        if _executor.wants_shards(parallel, len(rows_in)):
-            mask = _executor.dispatch("in_class_f", rows_in,
-                                      extra=(engine,),
-                                      parallel=parallel)
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_batch_metrics("membership", len(rows_in),
-                                      _perf_counter() - t0, scope="call")
-            return mask
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_in_class_f
-
-            mask = bitslice_in_class_f(rows_in)
-        else:
-            # Scalar Theorem 1 recursion early-exits on the first
-            # conflict, so it beats a full scalar routing pass here.
-            from ..core.membership import in_class_f
-
-            mask = [in_class_f(perm) for perm in rows_in]
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_batch_metrics("membership", len(mask),
-                                  _perf_counter() - t0,
-                                  n_success=sum(mask), scope=scope)
-        return mask
-    arr = _as_tag_array(np, perms_batch)
-    n = arr.shape[1]
-    order = log2_exact(n)
-    if _executor.wants_shards(parallel, arr.shape[0]):
-        mask = _executor.dispatch("in_class_f", arr,
-                                  extra=("numpy",), parallel=parallel,
-                                  order_hint=order)
-        if enabled:
-            _record_batch_metrics("membership", int(arr.shape[0]),
-                                  _perf_counter() - t0, scope="call")
-        return mask
-    rows = _working_block(np, arr, n_value_bits=order)
-    rows = _route_array(np, rows, order)
-    mask = (rows == np.arange(n, dtype=rows.dtype)[:, None]).all(axis=0)
-    if enabled:
-        _record_batch_metrics("membership", int(arr.shape[0]),
-                              _perf_counter() - t0,
-                              n_success=int(mask.sum()),
-                              scope=_metric_scope())
-    return mask
+    return run("in_class_f", perms_batch, engine=engine, parallel=parallel)
 
 
 @_spanned("batch.route_with_states")
@@ -582,99 +461,7 @@ def batch_route_with_states(states_batch, order: int, *,
         :class:`~repro.errors.InvalidParameterError`.
     """
     _reject_scalar_options("batch_route_with_states", scalar_options)
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    try:
-        b_hint = len(states_batch)
-    except TypeError:
-        b_hint = None
-    engine = _resolve(engine, order=order, batch_size=b_hint)
-    if engine == "composed":
-        from .composed import composed_route_with_states
+    from .dispatch import run  # dispatch imports this module
 
-        result = composed_route_with_states(
-            states_batch, order, stage_data=stage_data,
-            parallel=parallel,
-        )
-        if enabled:
-            _record_batch_metrics("states", len(result.success_mask),
-                                  _perf_counter() - t0,
-                                  scope=_metric_scope())
-        return result
-    if engine != "numpy":
-        rows_in = states_batch if isinstance(states_batch, list) \
-            else list(states_batch)
-        if _executor.wants_shards(parallel, len(rows_in)):
-            result = _executor.dispatch(
-                "route_with_states", rows_in,
-                extra=(order, stage_data, engine), parallel=parallel,
-            )
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_batch_metrics("states", len(rows_in),
-                                      _perf_counter() - t0, scope="call")
-            return result
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_route_with_states
-
-            result = bitslice_route_with_states(rows_in, order,
-                                                stage_data=stage_data)
-        else:
-            mappings = [fast_route_with_states(states, order)
-                        for states in rows_in]
-            result = BatchRouteResult(
-                success_mask=[True] * len(mappings), mappings=mappings
-            )
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_batch_metrics("states", len(result.success_mask),
-                                  _perf_counter() - t0, scope=scope)
-        return result
-    plan = stage_plan(order)
-    n = plan.n_terminals
-    states = np.asarray(states_batch, dtype=np.int64)
-    expected = (plan.n_stages, n // 2)
-    if states.ndim != 3 or states.shape[1:] != expected:
-        raise SizeMismatchError(
-            f"expected a (B, {expected[0]}, {expected[1]}) batch of "
-            f"switch states for order {order}, got shape {states.shape}"
-        )
-    batch = states.shape[0]
-    if _executor.wants_shards(parallel, batch):
-        result = _executor.dispatch(
-            "route_with_states", states,
-            extra=(order, stage_data, "numpy"),
-            parallel=parallel, order_hint=order,
-        )
-        if enabled:
-            _record_batch_metrics("states", int(batch),
-                                  _perf_counter() - t0, scope="call")
-        return result
-    inv_links = plan.np_inv_links()
-    dtype = np.int32 if plan.order <= 31 else np.int64
-    rows = np.repeat(np.arange(n, dtype=dtype)[:, None], batch, axis=1)
-    last_stage = plan.n_stages - 1
-    for stage in range(plan.n_stages):
-        cond = (states[:, stage, :].T != 0).astype(dtype)
-        _swap_stage(rows, cond)
-        if stage < last_stage:
-            rows = rows[inv_links[stage]]
-    # rows[output, b] = source  ->  dest[b, source] = output
-    rows = rows.T.astype(np.int64)
-    dest = np.empty_like(rows)
-    outputs = np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n))
-    np.put_along_axis(dest, rows, outputs, axis=1)
-    result = BatchRouteResult(
-        success_mask=np.ones(batch, dtype=bool),
-        mappings=dest,
-        per_stage=((states != 0).sum(axis=2).T if stage_data else None),
-    )
-    if enabled:
-        _record_batch_metrics("states", int(batch),
-                              _perf_counter() - t0,
-                              scope=_metric_scope())
-    return result
+    return run("route_with_states", states_batch, engine=engine,
+               parallel=parallel, order=order, stage_data=stage_data)

@@ -46,8 +46,8 @@ What is and is not bit-sliced:
 - **two-pass factorization** (:func:`bitslice_two_pass`) — the
   first-half map is pushed through the first ``n`` columns with the
   bit-sliced kernel, but the Waksman *side assignment* itself
-  (:func:`bitslice_setup_states`) delegates to the scalar looping
-  algorithm per instance: cycle chasing is data-dependent pointer
+  (``batch_setup_states(engine="bitslice")`` too) runs the scalar
+  looping algorithm per instance: cycle chasing is data-dependent pointer
   traversal with no lane-parallel formulation in this representation,
   and pretending otherwise would just hide a scalar loop behind a
   bit-sliced name.
@@ -80,7 +80,6 @@ __all__ = [
     "bitslice_self_route",
     "bitslice_in_class_f",
     "bitslice_route_with_states",
-    "bitslice_setup_states",
     "bitslice_two_pass",
 ]
 
@@ -469,19 +468,6 @@ def bitslice_route_with_states(states_batch, order: int, *,
                             mappings=mappings, per_stage=per_stage)
 
 
-def bitslice_setup_states(order: int, perms) -> List:
-    """Waksman looping setup under ``engine="bitslice"``: delegates to
-    the scalar algorithm per instance.  The side assignment is
-    data-dependent cycle chasing — there is no lane-parallel
-    formulation of it in this representation, so the honest bitslice
-    story for universal setup is "scalar states, bit-sliced transit"
-    (see :func:`bitslice_two_pass`)."""
-    from ..core.waksman import setup_states
-
-    rows = perms if isinstance(perms, list) else list(perms)
-    return [setup_states(p) for p in rows]
-
-
 def bitslice_two_pass(order: int, perms
                       ) -> Tuple[List[tuple], List[tuple]]:
     """Two-pass factorization ``(omega_1, omega_2)`` of a permutation
@@ -493,7 +479,7 @@ def bitslice_two_pass(order: int, perms
     per lane.  Factors are identical to
     ``[two_pass_decomposition(p) for p in perms]`` (lists of tuples,
     the fallback shapes)."""
-    from .setup import setup_plan
+    from .setup import scalar_setup_loop, setup_plan
 
     rows_in = _as_row_lists(perms, "permutations")
     lanes = len(rows_in)
@@ -505,7 +491,7 @@ def bitslice_two_pass(order: int, perms
             f"expected (B, {n}) permutations for order {order}, got "
             f"rows of length {len(rows_in[0])}"
         )
-    states = bitslice_setup_states(order, rows_in)
+    states = scalar_setup_loop(order, rows_in)
     plan = bitslice_plan(order, lanes, order)
     splan = stage_plan(order)
     conds_by_stage = _pack_state_conds(plan, states, order)

@@ -76,6 +76,7 @@ from ..errors import InvalidParameterError, SizeMismatchError
 from ..obs.spans import spanned as _spanned
 from ._np import env_int, have_numpy, numpy_or_none
 from .batch import (
+    _as_states_array,
     _as_tag_array,
     _batch_dims,
     _order_hint,
@@ -781,14 +782,7 @@ def composed_route_with_states(states_batch, order: int, *,
     inner = engine or _inner_engine(plan.sub_order, b_hint)
     chunk = _resolve_chunk(chunk_blocks)
     if np is not None:
-        states = np.asarray(states_batch, dtype=np.int64)
-        expected = (plan.n_stages, plan.n_terminals // 2)
-        if states.ndim != 3 or states.shape[1:] != expected:
-            raise SizeMismatchError(
-                f"expected a (B, {expected[0]}, {expected[1]}) batch "
-                f"of switch states for order {order}, got shape "
-                f"{states.shape}"
-            )
+        states = _as_states_array(np, states_batch, order)
         result = _np_route_with_states(
             np, plan, states, stage_data=stage_data, inner=inner,
             chunk=chunk, parallel=parallel,

@@ -11,10 +11,12 @@ shard count (pinned by ``tests/test_accel_setup.py``).
 Design notes:
 
 - **Spawn-safe.**  Workers are created with the ``spawn`` start method
-  (fork would duplicate the parent's locks and NumPy state); every task
-  is a module-level function dispatched *by name* through
-  :data:`_TASKS`, so nothing unpicklable crosses the process boundary
-  — payloads are plain arrays/lists, results are the same frozen
+  (fork would duplicate the parent's locks and NumPy state); a shard
+  is named by its op (``"self_route"``, ``"in_class_f"``, ...) and runs
+  :func:`repro.accel.dispatch.run_shard`, which re-enters the op's
+  entry point with the dispatching call's concrete engine, so nothing
+  unpicklable crosses the process boundary — payloads are plain
+  arrays/lists and an options dict, results are the same frozen
   result types the inline path returns.
 - **Plan-cache warmup.**  The pool initializer pre-builds the stage
   plan of the order that triggered pool creation in every worker, so
@@ -47,7 +49,7 @@ shard result; the parent merges it, so ``obs.snapshot()`` totals equal
 the inline run exactly.  Deltas travel with *every* result, so worker
 teardown has nothing left to flush — :func:`shutdown` still performs a
 best-effort final sweep for completeness.  Shard executions are marked
-via :func:`in_shard` so the batch entry points record work-level
+via :func:`in_shard` so the batch dispatcher records work-level
 metrics (items, successes, failures, per-stage crosses) but skip the
 call-level ones (calls, batch-size, wall time) that the parent records
 once per user-facing call.  Tracing workers re-root their spans under
@@ -61,9 +63,10 @@ import atexit
 import os
 import threading
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .. import obs as _obs
+from ..core.routing import BatchRouteResult
 from ..errors import InvalidParameterError
 from ..obs import spans as _spans
 from ._np import env_int, have_numpy, numpy_or_none
@@ -86,71 +89,15 @@ _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
 
 
-# ----------------------------------------------------------------------
-# Worker-side task table.  Every task takes one payload tuple and
-# returns a picklable result; the batch entry points are imported
-# lazily so a spawned worker pays the import once, and so this module
-# never creates an import cycle with repro.accel.batch / .setup.
-# ----------------------------------------------------------------------
-
-def _task_self_route(payload):
-    from .batch import batch_self_route
-
-    (tags, omega_mode, stage_data, stuck_switches, stage_states,
-     engine) = payload
-    return batch_self_route(tags, omega_mode=omega_mode,
-                            stage_data=stage_data,
-                            stuck_switches=stuck_switches,
-                            stage_states=stage_states, engine=engine)
-
-
-def _task_in_class_f(payload):
-    from .batch import batch_in_class_f
-
-    perms = payload[0]
-    engine = payload[1] if len(payload) > 1 else None
-    return batch_in_class_f(perms, engine=engine)
-
-
-def _task_route_with_states(payload):
-    from .batch import batch_route_with_states
-
-    states, order, stage_data, engine = payload
-    return batch_route_with_states(states, order, stage_data=stage_data,
-                                   engine=engine)
-
-
-def _task_setup_states(payload):
-    from .setup import batch_setup_states
-
-    perms, order, engine = payload
-    return batch_setup_states(order, perms, engine=engine)
-
-
-def _task_two_pass(payload):
-    from .setup import batch_two_pass
-
-    perms, order, engine = payload
-    return batch_two_pass(order, perms, engine=engine)
-
-
-_TASKS: Dict[str, Callable[[tuple], Any]] = {
-    "self_route": _task_self_route,
-    "in_class_f": _task_in_class_f,
-    "route_with_states": _task_route_with_states,
-    "setup_states": _task_setup_states,
-    "two_pass": _task_two_pass,
-}
-
-
 _SHARD_FLAG = threading.local()
 
 
 def in_shard() -> bool:
     """True while the current thread is executing one shard of a
-    dispatched batch (worker process or thread-fallback).  The batch
-    entry points consult this to record work-level metrics only —
-    call-level metrics are the dispatching call's to record, once."""
+    dispatched batch (worker process or thread-fallback).  The
+    dispatcher (:mod:`repro.accel.dispatch`) consults this to record
+    work-level metrics only — call-level metrics are the dispatching
+    call's to record, once."""
     return getattr(_SHARD_FLAG, "active", False)
 
 
@@ -185,6 +132,9 @@ def _run_task(task: str, payload: tuple, ctx: Optional[Dict] = None):
     carries the dispatch span's ``(trace_id, span_id)`` and ``"shard"``
     the shard index.
     """
+    # Imported lazily: the dispatcher imports this module.
+    from .dispatch import run_shard
+
     ctx = ctx or {}
     collect_delta = "metrics" in ctx and _sync_worker_obs(ctx)
     trace_ref = ctx.get("trace")
@@ -195,9 +145,9 @@ def _run_task(task: str, payload: tuple, ctx: Optional[Dict] = None):
             with _spans.adopt(*trace_ref):
                 with _spans.span("executor.shard", task=task,
                                  shard=ctx.get("shard")):
-                    result = _TASKS[task](payload)
+                    result = run_shard(task, payload)
         else:
-            result = _TASKS[task](payload)
+            result = run_shard(task, payload)
     finally:
         _SHARD_FLAG.active = False
     seconds = _perf_counter() - t0
@@ -347,69 +297,51 @@ def _shard_bounds(n_items: int, n_shards: int) -> List[tuple]:
     return bounds
 
 
-def _merge(task: str, parts: List[Any]):
-    """Reassemble shard results in submission order."""
-    np = numpy_or_none()
-    if task in ("self_route", "route_with_states"):
-        from ..core.routing import BatchRouteResult
-
-        masks = [p.success_mask for p in parts]
-        maps = [p.mappings for p in parts]
+def _merge(parts: List[Any]):
+    """Reassemble shard results in submission order, by result type:
+    route results field by field, two-pass ``(omega_1, omega_2)``
+    tuples factor by factor, lists by concatenation, arrays along
+    axis 0.  Pure-Python route results carry no ``per_stage``."""
+    first = parts[0]
+    if isinstance(first, BatchRouteResult):
         stages = [p.per_stage for p in parts]
         states = [p.stage_states for p in parts]
-        if np is not None and not isinstance(masks[0], list):
-            per_stage = (np.concatenate(stages, axis=1)
-                         if all(s is not None for s in stages) else None)
-            stage_states = (np.concatenate(states, axis=0)
-                            if all(s is not None for s in states)
-                            else None)
-            return BatchRouteResult(
-                success_mask=np.concatenate(masks),
-                mappings=np.concatenate(maps, axis=0),
-                per_stage=per_stage,
-                stage_states=stage_states,
-            )
+        arrays = not isinstance(first.success_mask, list)
         return BatchRouteResult(
-            success_mask=[ok for part in masks for ok in part],
-            mappings=[row for part in maps for row in part],
-            stage_states=(
-                [st for part in states for st in part]
-                if all(s is not None for s in states) else None
-            ),
+            success_mask=_merge([p.success_mask for p in parts]),
+            mappings=_merge([p.mappings for p in parts]),
+            per_stage=(numpy_or_none().concatenate(stages, axis=1)
+                       if arrays and all(s is not None for s in stages)
+                       else None),
+            stage_states=(_merge(states)
+                          if all(s is not None for s in states)
+                          else None),
         )
-    if task == "in_class_f":
-        if np is not None and not isinstance(parts[0], list):
-            return np.concatenate(parts)
-        return [ok for part in parts for ok in part]
-    if task == "setup_states":
-        if np is not None and not isinstance(parts[0], list):
-            return np.concatenate(parts, axis=0)
-        return [states for part in parts for states in part]
-    if task == "two_pass":
-        firsts = [p[0] for p in parts]
-        seconds = [p[1] for p in parts]
-        if np is not None and not isinstance(firsts[0], list):
-            return (np.concatenate(firsts, axis=0),
-                    np.concatenate(seconds, axis=0))
-        return ([row for part in firsts for row in part],
-                [row for part in seconds for row in part])
-    raise InvalidParameterError(f"unknown executor task {task!r}")
+    if isinstance(first, tuple):
+        return tuple(_merge([p[i] for p in parts])
+                     for i in range(len(first)))
+    if isinstance(first, list):
+        return [row for part in parts for row in part]
+    return numpy_or_none().concatenate(parts, axis=0)
 
 
-def dispatch(task: str, items, *, extra: tuple = (), parallel=True,
+def dispatch(task: str, items, *, engine: Optional[str] = None,
+             opts: Optional[Dict] = None, parallel=True,
              order_hint: Optional[int] = None):
-    """Run ``task`` over ``items`` (an array or list sliced along axis
-    0) in shards, merging the results in order.
+    """Run op ``task`` over ``items`` (an array or list sliced along
+    axis 0) in shards, merging the results in order.
 
-    ``extra`` is appended to every shard's payload after the item
-    slice.  Caller guarantees :func:`wants_shards` returned True; the
-    result is identical to the corresponding inline call.
+    Every shard's payload is ``(slice, engine, opts)``: the op's entry
+    point re-runs on the slice with that engine and those options.
+    Caller guarantees :func:`wants_shards` returned True; the result
+    is identical to the corresponding inline call.
     """
     n_items = len(items)
     workers = resolve_workers(parallel)
     n_shards = min(workers, n_items)
     bounds = _shard_bounds(n_items, n_shards)
-    payloads = [(items[start:stop],) + extra for start, stop in bounds]
+    payloads = [(items[start:stop], engine, opts or {})
+                for start, stop in bounds]
 
     enabled = _obs.enabled()
     t0 = _perf_counter() if enabled else 0.0
@@ -487,4 +419,4 @@ def dispatch(task: str, items, *, extra: tuple = (), parallel=True,
                 _obs.observe("executor.worker.seconds", seconds)
             _obs.observe("executor.dispatch.seconds",
                          _perf_counter() - t0)
-    return _merge(task, results)
+    return _merge(results)

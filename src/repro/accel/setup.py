@@ -51,11 +51,8 @@ NumPy is absent — identical values, element for element.
 
 from __future__ import annotations
 
-from time import perf_counter as _perf_counter
 from typing import List, Sequence, Tuple
 
-from .. import obs as _obs
-from ..core.bits import log2_exact
 from ..core.permutation import Permutation
 from ..core.routing import BatchRouteResult
 from ..errors import (
@@ -64,15 +61,8 @@ from ..errors import (
     SizeMismatchError,
 )
 from ..obs.spans import spanned as _spanned
-from . import executor as _executor
 from ._np import numpy_or_none
-from .batch import (
-    _as_tag_array,
-    _metric_scope,
-    _resolve,
-    _swap_stage,
-    batch_self_route,
-)
+from .batch import _as_tag_array, _swap_stage, batch_self_route
 from .plans import setup_plan_cache, stage_plan
 
 __all__ = [
@@ -150,21 +140,6 @@ def _as_perm_array(np, order: int, perms):
             "duplicate or missing destinations break the looping cycles"
         )
     return arr
-
-
-def _record_setup_metrics(kind: str, batch_size: int, seconds: float,
-                          scope: str = "full") -> None:
-    """Same call/work split as
-    :func:`repro.accel.batch._record_batch_metrics`: the dispatching
-    call records ``"call"`` instruments once, shards record ``"work"``
-    for their slice, the inline path records ``"full"`` (both)."""
-    if scope != "work":
-        _obs.inc(f"accel.{kind}.calls")
-        _obs.observe(f"accel.{kind}.seconds", seconds)
-        _obs.observe("accel.batch.size", batch_size,
-                     bounds=_obs.POW2_BOUNDS)
-    if scope != "call":
-        _obs.inc(f"accel.{kind}.items", batch_size)
 
 
 def _leaders(np, succ, base, steps: int):
@@ -316,76 +291,22 @@ def batch_setup_states(order: int, perms, *, parallel=False,
             :func:`repro.accel.batch_self_route`.  The looping side
             assignment has no bit-sliced formulation, so
             ``"bitslice"`` here runs the scalar algorithm per instance
-            (see :func:`repro.accel.bitslice.bitslice_setup_states`)
-            and ``auto`` resolves to numpy-or-scalar.
+            (:func:`scalar_setup_loop`, the same kernel as
+            ``"scalar"``) and ``auto`` resolves to numpy-or-scalar.
 
     Returns:
         a ``(B, 2*order - 1, N/2)`` int8 array (a list of per-instance
         nested state lists on the pure-Python engines) that plugs
         straight into :func:`repro.accel.batch_route_with_states`.
     """
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    try:
-        b_hint = len(perms)
-    except TypeError:
-        b_hint = None
-    engine = _resolve(engine, order=order, batch_size=b_hint,
-                      kind="setup")
-    if engine == "composed":
-        from .composed import composed_setup_states
+    from .dispatch import run  # dispatch imports this module
 
-        result = composed_setup_states(order, perms, parallel=parallel)
-        if enabled:
-            _record_setup_metrics("setup", len(result),
-                                  _perf_counter() - t0,
-                                  scope=_metric_scope())
-        return result
-    if engine != "numpy":
-        rows = perms if isinstance(perms, list) else list(perms)
-        if _executor.wants_shards(parallel, len(rows)):
-            result = _executor.dispatch(
-                "setup_states", rows, extra=(order, engine),
-                parallel=parallel
-            )
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_setup_metrics("setup", len(rows),
-                                      _perf_counter() - t0, scope="call")
-            return result
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_setup_states
+    return run("setup_states", perms, engine=engine, parallel=parallel,
+               order=order)
 
-            result = bitslice_setup_states(order, rows)
-        else:
-            from ..core.waksman import setup_states
 
-            result = [setup_states(p) for p in rows]
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_setup_metrics("setup", len(result),
-                                  _perf_counter() - t0, scope=scope)
-        return result
-    arr = _as_perm_array(np, order, perms)
-    if _executor.wants_shards(parallel, arr.shape[0]):
-        result = _executor.dispatch(
-            "setup_states", arr, extra=(order, "numpy"),
-            parallel=parallel
-        )
-        if enabled:
-            _record_setup_metrics("setup", int(arr.shape[0]),
-                                  _perf_counter() - t0, scope="call")
-        return result
-    states = _setup_levels(np, setup_plan(order), arr)
-    if enabled:
-        _record_setup_metrics("setup", int(arr.shape[0]),
-                              _perf_counter() - t0,
-                              scope=_metric_scope())
-    return states
+def _numpy_setup_states(arr, tally, *, order):
+    return _setup_levels(numpy_or_none(), setup_plan(order), arr)
 
 
 def _first_half_maps(np, order: int, states):
@@ -429,62 +350,14 @@ def batch_two_pass(order: int, perms, *, parallel=False, engine=None):
     columns lane-parallel (scalar side assignment, bit-sliced transit
     — see :func:`repro.accel.bitslice.bitslice_two_pass`).
     """
+    from .dispatch import run  # dispatch imports this module
+
+    return run("two_pass", perms, engine=engine, parallel=parallel,
+               order=order)
+
+
+def _numpy_two_pass(arr, tally, *, order):
     np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    try:
-        b_hint = len(perms)
-    except TypeError:
-        b_hint = None
-    engine = _resolve(engine, order=order, batch_size=b_hint,
-                      kind="setup")
-    if engine == "composed":
-        # The two-pass factorization reads the *global* first-half map —
-        # it does not block-decompose — so a composed request delegates
-        # to the composed engine's own inner engine; the factors are
-        # identical either way.
-        engine = "numpy" if np is not None else "scalar"
-    if engine != "numpy":
-        rows = perms if isinstance(perms, list) else list(perms)
-        if _executor.wants_shards(parallel, len(rows)):
-            result = _executor.dispatch(
-                "two_pass", rows, extra=(order, engine),
-                parallel=parallel
-            )
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_setup_metrics("two_pass", len(rows),
-                                      _perf_counter() - t0, scope="call")
-            return result
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_two_pass
-
-            firsts, seconds = bitslice_two_pass(order, rows)
-        else:
-            from ..core.twopass import two_pass_decomposition
-
-            firsts, seconds = [], []
-            for p in rows:
-                first, second = two_pass_decomposition(p)
-                firsts.append(first.as_tuple())
-                seconds.append(second.as_tuple())
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_setup_metrics("two_pass", len(firsts),
-                                  _perf_counter() - t0, scope=scope)
-        return firsts, seconds
-    arr = _as_perm_array(np, order, perms)
-    if _executor.wants_shards(parallel, arr.shape[0]):
-        result = _executor.dispatch(
-            "two_pass", arr, extra=(order, "numpy"), parallel=parallel
-        )
-        if enabled:
-            _record_setup_metrics("two_pass", int(arr.shape[0]),
-                                  _perf_counter() - t0, scope="call")
-        return result
     plan = setup_plan(order)
     states = _setup_levels(np, plan, arr)
     middle = _first_half_maps(np, order, states)
@@ -493,10 +366,6 @@ def batch_two_pass(order: int, perms, *, parallel=False, engine=None):
     first = plan.np_straight_inverse()[middle]
     second = np.empty_like(arr)
     np.put_along_axis(second, first, arr, axis=1)
-    if enabled:
-        _record_setup_metrics("two_pass", int(arr.shape[0]),
-                              _perf_counter() - t0,
-                              scope=_metric_scope())
     return first, second
 
 
@@ -542,8 +411,9 @@ def batch_route_two_pass(order: int, perms, *, parallel=False,
 
 def scalar_setup_loop(order: int,
                       perms: Sequence) -> List[List[List[int]]]:
-    """Reference loop used by benchmarks and the executor's fallback
-    parity tests: the scalar looping algorithm applied per instance."""
+    """The scalar looping algorithm applied per instance: the setup
+    kernel of the ``scalar`` and ``bitslice`` engines (cycle chasing
+    has no lane-parallel formulation) and the benchmarks' reference."""
     from ..core.waksman import setup_states
 
     return [setup_states(p) for p in perms]
@@ -551,7 +421,8 @@ def scalar_setup_loop(order: int,
 
 def scalar_two_pass_loop(order: int, perms: Sequence
                          ) -> Tuple[List[tuple], List[tuple]]:
-    """Reference loop: scalar two-pass decomposition per instance."""
+    """Scalar two-pass decomposition per instance: the two-pass kernel
+    of the ``scalar`` engine and the benchmarks' reference."""
     from ..core.twopass import two_pass_decomposition
 
     firsts, seconds = [], []

@@ -389,7 +389,7 @@ def _from_batch_result(engine: str, result) -> EngineRun:
 
 
 # ----------------------------------------------------------------------
-# Self-routing adapters (six in-process generations + the daemon)
+# Self-routing adapters (in-process generations + the daemon)
 # ----------------------------------------------------------------------
 
 def _scalar_engine(rows, order, *, omega_mode=False,
@@ -423,34 +423,6 @@ def _fastpath_engine(rows, order, *, omega_mode=False,
                      tuple(states))
 
 
-def _batch_engine(rows, order, *, omega_mode=False,
-                  stuck_switches=None) -> EngineRun:
-    result = batch_self_route(list(rows), omega_mode=omega_mode,
-                              stuck_switches=stuck_switches,
-                              stage_states=True)
-    return _from_batch_result("batch", result)
-
-
-def _batch_fallback_engine(rows, order, *, omega_mode=False,
-                           stuck_switches=None) -> EngineRun:
-    # engine="scalar" pins the scalar per-instance loop: under
-    # force_fallback an unqualified auto could resolve to bitslice,
-    # and this adapter exists to keep the loop leg under test.
-    with force_fallback():
-        result = batch_self_route(list(rows), omega_mode=omega_mode,
-                                  stuck_switches=stuck_switches,
-                                  stage_states=True, engine="scalar")
-    return _from_batch_result("batch-fallback", result)
-
-
-def _bitslice_engine(rows, order, *, omega_mode=False,
-                     stuck_switches=None) -> EngineRun:
-    result = batch_self_route(list(rows), omega_mode=omega_mode,
-                              stuck_switches=stuck_switches,
-                              stage_states=True, engine="bitslice")
-    return _from_batch_result("bitslice", result)
-
-
 def _sharded_engine(rows, order, *, omega_mode=False,
                     stuck_switches=None) -> EngineRun:
     with low_shard_threshold(2):
@@ -460,12 +432,48 @@ def _sharded_engine(rows, order, *, omega_mode=False,
     return _from_batch_result("sharded", result)
 
 
-def _composed_engine(rows, order, *, omega_mode=False,
-                     stuck_switches=None) -> EngineRun:
-    result = batch_self_route(list(rows), omega_mode=omega_mode,
-                              stuck_switches=stuck_switches,
-                              stage_states=True, engine="composed")
-    return _from_batch_result("composed", result)
+def _accel_adapters(name: str, engine: Optional[str] = None) -> Dict:
+    """The self-routing, membership, external-state and partial
+    adapters of one accel engine name — the public batch entry points
+    with ``engine=`` pinned (``None``: auto resolution) — as
+    :class:`EngineSpec` keywords under the ``<family>-<name>``
+    adapter keys."""
+
+    def selfroute(rows, order, *, omega_mode=False,
+                  stuck_switches=None) -> EngineRun:
+        result = batch_self_route(list(rows), omega_mode=omega_mode,
+                                  stuck_switches=stuck_switches,
+                                  stage_states=True, engine=engine)
+        return _from_batch_result(name, result)
+
+    def membership(rows, order) -> Tuple[bool, ...]:
+        mask = batch_in_class_f(list(rows), engine=engine)
+        return tuple(bool(ok) for ok in mask)
+
+    def states(states_batch, order) -> Tuple[Row, ...]:
+        # mappings rows are already the realized input -> output view,
+        # the same convention as fast_route_with_states.
+        result = batch_route_with_states(list(states_batch), order,
+                                         engine=engine)
+        return tuple(tuple(int(v) for v in row)
+                     for row in result.mappings)
+
+    def partial(rows, order, *, omega_mode=False,
+                stuck_switches=None) -> EngineRun:
+        result = batch_route_partial(list(rows), omega_mode=omega_mode,
+                                     stuck_switches=stuck_switches,
+                                     engine=engine)
+        return EngineRun(
+            f"partial-{name}",
+            tuple(bool(ok) for ok in result.success_mask),
+            tuple(tuple(int(out) for _src, out in arrival)
+                  for arrival in result.arrivals),
+        )
+
+    return dict(selfroute=selfroute, membership=membership,
+                membership_name=f"membership-{name}", states=states,
+                states_name=f"states-{name}", partial=partial,
+                partial_name=f"partial-{name}")
 
 
 # ----------------------------------------------------------------------
@@ -494,17 +502,6 @@ def _partial_run_from_delivered(engine: str, dense_rows,
     return EngineRun(engine, tuple(success), tuple(arrivals))
 
 
-def _partial_from_result(engine: str, result) -> EngineRun:
-    return EngineRun(
-        engine=engine,
-        success=tuple(bool(ok) for ok in result.success_mask),
-        mappings=tuple(
-            tuple(int(out) for _src, out in arrival)
-            for arrival in result.arrivals
-        ),
-    )
-
-
 def _partial_scalar_engine(rows, order, *, omega_mode=False,
                            stuck_switches=None) -> EngineRun:
     # The oracle leg: structural network on the canonical completion,
@@ -519,38 +516,6 @@ def _partial_scalar_engine(rows, order, *, omega_mode=False,
         delivered_rows.append(tuple(int(v) for v in result.delivered))
     return _partial_run_from_delivered("partial-scalar", dense,
                                        delivered_rows)
-
-
-def _partial_batch_engine(rows, order, *, omega_mode=False,
-                          stuck_switches=None) -> EngineRun:
-    result = batch_route_partial(list(rows), omega_mode=omega_mode,
-                                 stuck_switches=stuck_switches)
-    return _partial_from_result("partial-batch", result)
-
-
-def _partial_batch_fallback_engine(rows, order, *, omega_mode=False,
-                                   stuck_switches=None) -> EngineRun:
-    with force_fallback():
-        result = batch_route_partial(list(rows), omega_mode=omega_mode,
-                                     stuck_switches=stuck_switches,
-                                     engine="scalar")
-    return _partial_from_result("partial-batch-fallback", result)
-
-
-def _partial_bitslice_engine(rows, order, *, omega_mode=False,
-                             stuck_switches=None) -> EngineRun:
-    result = batch_route_partial(list(rows), omega_mode=omega_mode,
-                                 stuck_switches=stuck_switches,
-                                 engine="bitslice")
-    return _partial_from_result("partial-bitslice", result)
-
-
-def _partial_composed_engine(rows, order, *, omega_mode=False,
-                             stuck_switches=None) -> EngineRun:
-    result = batch_route_partial(list(rows), omega_mode=omega_mode,
-                                 stuck_switches=stuck_switches,
-                                 engine="composed")
-    return _partial_from_result("partial-composed", result)
 
 
 # --- the routing daemon, reached over its wire protocol ---------------
@@ -637,26 +602,6 @@ def _membership_theorem1(rows, order) -> Tuple[bool, ...]:
     return tuple(bool(in_class_f(row)) for row in rows)
 
 
-def _membership_batch(rows, order) -> Tuple[bool, ...]:
-    return tuple(bool(ok) for ok in batch_in_class_f(list(rows)))
-
-
-def _membership_batch_fallback(rows, order) -> Tuple[bool, ...]:
-    with force_fallback():
-        mask = batch_in_class_f(list(rows), engine="scalar")
-    return tuple(bool(ok) for ok in mask)
-
-
-def _membership_bitslice(rows, order) -> Tuple[bool, ...]:
-    mask = batch_in_class_f(list(rows), engine="bitslice")
-    return tuple(bool(ok) for ok in mask)
-
-
-def _membership_composed(rows, order) -> Tuple[bool, ...]:
-    mask = batch_in_class_f(list(rows), engine="composed")
-    return tuple(bool(ok) for ok in mask)
-
-
 def _membership_route_success(rows, order) -> Tuple[bool, ...]:
     # Theorem 1 states membership == routing success; feeding the
     # routed verdict into the same comparison pins that equivalence
@@ -683,32 +628,6 @@ def _states_fastpath(states_batch, order) -> Tuple[Row, ...]:
         tuple(int(v) for v in fast_route_with_states(states, order))
         for states in states_batch
     )
-
-
-def _states_batch(states_batch, order) -> Tuple[Row, ...]:
-    # mappings rows are already the realized input -> output view, the
-    # same convention as fast_route_with_states.
-    result = batch_route_with_states(list(states_batch), order)
-    return tuple(tuple(int(v) for v in row) for row in result.mappings)
-
-
-def _states_batch_fallback(states_batch, order) -> Tuple[Row, ...]:
-    with force_fallback():
-        result = batch_route_with_states(list(states_batch), order,
-                                         engine="scalar")
-    return tuple(tuple(int(v) for v in row) for row in result.mappings)
-
-
-def _states_bitslice(states_batch, order) -> Tuple[Row, ...]:
-    result = batch_route_with_states(list(states_batch), order,
-                                     engine="bitslice")
-    return tuple(tuple(int(v) for v in row) for row in result.mappings)
-
-
-def _states_composed(states_batch, order) -> Tuple[Row, ...]:
-    result = batch_route_with_states(list(states_batch), order,
-                                     engine="composed")
-    return tuple(tuple(int(v) for v in row) for row in result.mappings)
 
 
 # ----------------------------------------------------------------------
@@ -811,35 +730,12 @@ register(EngineSpec(
 ))
 register(EngineSpec(
     name="batch",
-    selfroute=_batch_engine,
-    membership=_membership_batch,
-    membership_name="membership-batch",
-    states=_states_batch,
-    states_name="states-batch",
-    partial=_partial_batch_engine,
-    partial_name="partial-batch",
+    **_accel_adapters("batch"),
     description="accel batch entry points under auto resolution",
 ))
 register(EngineSpec(
-    name="batch-fallback",
-    selfroute=_batch_fallback_engine,
-    membership=_membership_batch_fallback,
-    membership_name="membership-batch-fallback",
-    states=_states_batch_fallback,
-    states_name="states-batch-fallback",
-    partial=_partial_batch_fallback_engine,
-    partial_name="partial-batch-fallback",
-    description="accel batch entry points with NumPy forced absent",
-))
-register(EngineSpec(
     name="bitslice",
-    selfroute=_bitslice_engine,
-    membership=_membership_bitslice,
-    membership_name="membership-bitslice",
-    states=_states_bitslice,
-    states_name="states-bitslice",
-    partial=_partial_bitslice_engine,
-    partial_name="partial-bitslice",
+    **_accel_adapters("bitslice", "bitslice"),
     exec_seam=True,
     description="bit-sliced big-int lane-parallel kernel",
 ))
@@ -850,13 +746,7 @@ register(EngineSpec(
 ))
 register(EngineSpec(
     name="composed",
-    selfroute=_composed_engine,
-    membership=_membership_composed,
-    membership_name="membership-composed",
-    states=_states_composed,
-    states_name="states-composed",
-    partial=_partial_composed_engine,
-    partial_name="partial-composed",
+    **_accel_adapters("composed", "composed"),
     exec_seam=True,
     description="block-composed sub-network engine: peel + per-block "
                 "dispatch with streaming state chunks",

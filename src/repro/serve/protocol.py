@@ -276,8 +276,13 @@ class RouteResponse:
 # Canonical JSON encoding — one byte form per message
 # ----------------------------------------------------------------------
 
+#: One shared canonical encoder: ``json.dumps`` with non-default
+#: arguments would build a new ``JSONEncoder`` on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 def encode_request(request: RouteRequest) -> str:

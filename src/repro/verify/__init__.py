@@ -1,13 +1,12 @@
 """``repro.verify`` — the differential verification subsystem.
 
-Four engine generations claim to implement the same paper: the
-structural scalar network, the integer fast path, the vectorized batch
-kernel (NumPy and fallback), and the sharded executor.  This package
-*proves* they agree instead of assuming it:
+Every engine generation claims to implement the same paper: the
+structural scalar network, the integer fast path, the accel batch
+entry points on each kernel (scalar loop, NumPy, bitslice, composed),
+the sharded executor and the serve daemon.  This package *proves* they
+agree instead of assuming it, driving each engine through the
+normalized adapters of the :mod:`repro.engines` registry:
 
-- :mod:`~repro.verify.engines` — every engine behind one normalized
-  adapter interface (plus environment toggles and a deliberately
-  broken mutant for self-testing);
 - :mod:`~repro.verify.workloads` — seeded permutation / tag-vector
   generators mixing random, ``F(n)``, structured, and Theorem-4 inputs;
 - :mod:`~repro.verify.fuzzer` — the pairwise comparison core across
@@ -17,10 +16,13 @@ kernel (NumPy and fallback), and the sharded executor.  This package
 - :mod:`~repro.verify.shrink` — counterexample minimization emitting
   ready-to-paste regression tests;
 - :mod:`~repro.verify.harness` — the seeded, time-budgeted campaign
-  driver behind ``benes verify``.
+  runner behind ``benes verify``, with the deliberately broken mutant
+  engine its self-test plants.
 
 Submodules load lazily (mirroring :mod:`repro.accel`) so importing
-``repro`` never pays for the verifier.
+``repro`` never pays for the verifier; the registry names
+(``EngineRun``, the ``*_ENGINES`` views, ``run_engine`` and the
+toggles) are re-exported from :mod:`repro.engines`.
 """
 
 from __future__ import annotations
@@ -52,30 +54,31 @@ __all__ = [
     "shrink",
 ]
 
+#: name -> module path relative to this package.
 _EXPORTS = {
-    "Disagreement": "fuzzer",
-    "EngineRun": "engines",
-    "FaultCampaignReport": "faults",
-    "MEMBERSHIP_ENGINES": "engines",
-    "PARTIAL_ENGINES": "engines",
-    "SELF_ROUTE_ENGINES": "engines",
-    "STATES_ENGINES": "engines",
-    "ShrinkResult": "shrink",
-    "VerifyConfig": "harness",
-    "VerifyReport": "harness",
-    "check_membership": "fuzzer",
-    "check_partial": "fuzzer",
-    "check_selfroute": "fuzzer",
-    "check_twopass": "fuzzer",
-    "check_universal": "fuzzer",
-    "force_fallback": "engines",
-    "low_shard_threshold": "engines",
-    "mutant_self_route_engine": "engines",
-    "regression_test_source": "shrink",
-    "run_campaign": "faults",
-    "run_engine": "engines",
-    "run_self_test": "harness",
-    "run_verify": "harness",
+    "Disagreement": ".fuzzer",
+    "EngineRun": "..engines",
+    "FaultCampaignReport": ".faults",
+    "MEMBERSHIP_ENGINES": "..engines",
+    "PARTIAL_ENGINES": "..engines",
+    "SELF_ROUTE_ENGINES": "..engines",
+    "STATES_ENGINES": "..engines",
+    "ShrinkResult": ".shrink",
+    "VerifyConfig": ".harness",
+    "VerifyReport": ".harness",
+    "check_membership": ".fuzzer",
+    "check_partial": ".fuzzer",
+    "check_selfroute": ".fuzzer",
+    "check_twopass": ".fuzzer",
+    "check_universal": ".fuzzer",
+    "force_fallback": "..engines",
+    "low_shard_threshold": "..engines",
+    "mutant_self_route_engine": ".harness",
+    "regression_test_source": ".shrink",
+    "run_campaign": ".faults",
+    "run_engine": "..engines",
+    "run_self_test": ".harness",
+    "run_verify": ".harness",
 }
 
 # ``shrink`` (the function) shares its name with the submodule it lives
@@ -94,7 +97,7 @@ def __getattr__(name: str):
         )
     from importlib import import_module
 
-    module = import_module(f".{module_name}", __name__)
+    module = import_module(module_name, __name__)
     value = getattr(module, name)
     globals()[name] = value
     return value

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.benes import BenesNetwork
 from ..core.sampling import random_class_f
-from .engines import SELF_ROUTE_ENGINES, EngineRun
+from ..engines import SELF_ROUTE_ENGINES, EngineRun
 from .fuzzer import Disagreement, _compare_runs
 
 __all__ = ["FaultCampaignReport", "StageSummary", "run_campaign"]

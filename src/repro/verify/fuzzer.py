@@ -3,9 +3,9 @@ engine pair and report any field that differs.
 
 Four comparison families mirror the repo's four public surfaces:
 
-- **selfroute** — :data:`~repro.verify.engines.SELF_ROUTE_ENGINES`
-  (scalar / fastpath / batch / batch-fallback / sharded) on the same
-  tag vectors, with optional omega mode and fault injection; success
+- **selfroute** — :data:`~repro.engines.SELF_ROUTE_ENGINES`
+  (scalar / fastpath / batch / bitslice / sharded / composed) on the
+  same tag vectors, with optional omega mode and fault injection; success
   flags, delivered mappings, and per-stage switch states must all be
   byte-identical, the strongest equivalence the engines promise.
 - **partial** — :data:`~repro.engines.PARTIAL_ENGINES` on dense
@@ -13,8 +13,8 @@ Four comparison families mirror the repo's four public surfaces:
   success and the active lanes' arrival outputs, masked through every
   engine via the one canonical completion, must match the scalar
   oracle byte-for-byte — the packet subsystem's call-model parity.
-- **membership** — Theorem-1 recursion vs the batch verdict (both NumPy
-  legs) vs actual routing success; the paper's membership ≡ routability
+- **membership** — Theorem-1 recursion vs the batch verdict on every
+  accel engine vs actual routing success; the paper's membership ≡ routability
   equivalence, cross-engine.
 - **universal** — Waksman looping setup: scalar vs batch setup states
   byte-for-byte, then the realized permutation under those states via
@@ -54,7 +54,7 @@ from ..accel.setup import (
 )
 from ..core.twopass import two_pass_decomposition
 from ..core.waksman import setup_states
-from .engines import (
+from ..engines import (
     MEMBERSHIP_ENGINES,
     PARTIAL_ENGINES,
     SELF_ROUTE_ENGINES,

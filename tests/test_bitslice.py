@@ -27,10 +27,10 @@ from repro.accel.bitslice import (
     bitslice_plan,
     bitslice_route_with_states,
     bitslice_self_route,
-    bitslice_setup_states,
     bitslice_two_pass,
 )
 from repro.accel.plans import bitslice_plan_cache, cache_stats
+from repro.accel.setup import batch_setup_states
 from repro.core import random_permutation
 from repro.core.fastpath import (
     fast_route_with_states,
@@ -230,7 +230,7 @@ class TestSetupAndTwoPass:
     @pytest.mark.parametrize("order", [1, 2])
     def test_setup_states_exhaustive(self, order):
         perms = list(permutations(range(1 << order)))
-        batch = bitslice_setup_states(order, perms)
+        batch = batch_setup_states(order, perms, engine="bitslice")
         for states, p in zip(batch, perms):
             assert states == setup_states(list(p))
 

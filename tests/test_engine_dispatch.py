@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import repro.accel._np as _np_mod
 from repro import obs
 from repro.accel import (
-    ENGINES,
     autotune_clear,
     batch_in_class_f,
     batch_route_two_pass,
@@ -36,6 +35,7 @@ from repro.accel import (
     resolve_engine,
 )
 from repro.core import random_permutation
+from repro.engines import exec_engine_names
 from repro.errors import InvalidParameterError, MissingDependencyError
 from repro.planner import plan_batch
 
@@ -43,7 +43,7 @@ needs_numpy = pytest.mark.skipif(not have_numpy(),
                                  reason="NumPy not installed")
 
 PURE_ENGINES = ("scalar", "bitslice")
-ALL_ENGINES = tuple(e for e in ENGINES if e != "numpy" or have_numpy())
+ALL_ENGINES = exec_engine_names(available_only=True)
 
 
 @pytest.fixture(autouse=True)
@@ -213,17 +213,36 @@ class TestEntryPointParity:
     @settings(max_examples=15, deadline=None)
     @given(order=st.integers(min_value=4, max_value=6), data=st.data())
     def test_self_route_hypothesis(self, order, data):
+        # Self-route plus membership, route-with-states and setup: the
+        # scalar kernel is the reference every engine must match.
         n = 1 << order
         rows = data.draw(st.lists(st.permutations(range(n)),
                                   min_size=1, max_size=4))
+        states = [
+            [[data.draw(st.integers(0, 1)) for _ in range(n // 2)]
+             for _ in range(2 * order - 1)]
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
         results = {
-            engine: _norm(batch_self_route(rows, stage_states=True,
-                                           engine=engine))
+            engine: {
+                "route": _norm(batch_self_route(
+                    rows, stage_states=True, engine=engine)),
+                "membership": [bool(v) for v in
+                               batch_in_class_f(rows, engine=engine)],
+                "with_states": _norm(batch_route_with_states(
+                    states, order, engine=engine)),
+                "setup": [
+                    [[int(s) for s in col] for col in instance]
+                    for instance in batch_setup_states(order, rows,
+                                                       engine=engine)
+                ],
+            }
             for engine in ALL_ENGINES
         }
         reference = results["scalar"]
         for engine, result in results.items():
-            assert result == reference, engine
+            for key, value in result.items():
+                assert value == reference[key], (engine, key)
 
     def test_result_types_follow_engine(self):
         perms = [(0, 1, 2, 3), (1, 3, 2, 0)]

@@ -4,8 +4,9 @@ One registration must make an engine visible everywhere at once: the
 accel execution seam (``resolve_engine``), the verifier's capability
 views, the CLI's ``--engine`` choices, and explicit-name lookups.
 These tests pin that contract, the default/opt-in split (the
-socket-backed ``serve`` engine must never join a default sweep), and
-backward compatibility of the ``repro.verify.engines`` shim.
+socket-backed ``serve`` engine must never join a default sweep), the
+``repro.verify`` re-exports of the registry, and the registry's
+agreement with the dispatcher's kernel table.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import random
 
 import pytest
 
+import repro.verify as verify
 from repro import engines as registry
+from repro.accel import dispatch
 from repro.accel._np import resolve_engine
+from repro.accel.batch import batch_self_route
 from repro.core import random_permutation
 from repro.errors import InvalidParameterError, MissingDependencyError
-from repro.verify import engines as verify_shim
 
 
 @pytest.fixture
@@ -30,8 +33,7 @@ class TestRegistry:
     def test_builtin_engines_registered(self):
         names = registry.names()
         for expected in ("scalar", "numpy", "fastpath", "batch",
-                         "batch-fallback", "bitslice", "sharded",
-                         "composed", "serve"):
+                         "bitslice", "sharded", "composed", "serve"):
             assert expected in names
 
     def test_exec_seam_names_in_registration_order(self):
@@ -151,34 +153,62 @@ class TestLiveRegistration:
             registry._REGISTRY.pop(name, None)
 
 
-class TestVerifyShimBackCompat:
-    """``repro.verify.engines`` stays a working alias of the registry
-    (generated regression tests import from it by module path)."""
+class TestVerifyReexports:
+    """``repro.verify`` re-exports the registry's public names (the
+    views are the registry's own objects) and the self-test mutant."""
 
     def test_views_are_the_same_objects(self):
-        assert (verify_shim.SELF_ROUTE_ENGINES
-                is registry.SELF_ROUTE_ENGINES)
-        assert (verify_shim.MEMBERSHIP_ENGINES
-                is registry.MEMBERSHIP_ENGINES)
-        assert verify_shim.STATES_ENGINES is registry.STATES_ENGINES
+        assert verify.SELF_ROUTE_ENGINES is registry.SELF_ROUTE_ENGINES
+        assert verify.MEMBERSHIP_ENGINES is registry.MEMBERSHIP_ENGINES
+        assert verify.STATES_ENGINES is registry.STATES_ENGINES
 
     def test_run_engine_reexported(self, rows):
-        run = verify_shim.run_engine("fastpath", rows, 3)
+        run = verify.run_engine("fastpath", rows, 3)
         oracle = registry.run_engine("scalar", rows, 3)
         assert run.success == oracle.success
         assert run.mappings == oracle.mappings
 
     def test_toggles_reexported(self, rows):
-        with verify_shim.force_engine("bitslice"):
+        assert verify.force_fallback is registry.force_fallback
+        with registry.force_engine("bitslice"):
             run = registry.run_engine("batch", rows, 3)
         assert run.success == registry.run_engine("scalar",
                                                   rows, 3).success
 
-    def test_mutant_engine_still_local_to_shim(self, rows):
-        mutant = verify_shim.mutant_self_route_engine(2)
+    def test_mutant_engine_from_harness(self, rows):
+        from repro.verify.harness import mutant_self_route_engine
+
+        assert verify.mutant_self_route_engine is mutant_self_route_engine
+        mutant = mutant_self_route_engine(2)
         oracle = registry.run_engine("scalar", rows, 3)
         mutated = mutant(list(rows), 3)
         assert mutated.mappings != oracle.mappings
+
+
+class TestKernelTable:
+    """Every exec-seam engine has a dispatcher kernel for every batch
+    op, or fails with one typed error naming the op."""
+
+    @pytest.mark.parametrize("op", sorted(dispatch.OPS))
+    def test_every_exec_engine_has_a_kernel(self, op):
+        assert set(dispatch.KERNELS) == set(dispatch.OPS)
+        for engine in registry.exec_engine_names():
+            if (op, engine) == ("two_pass", "composed"):
+                # redirected to the inner engine before lookup
+                with pytest.raises(InvalidParameterError, match=op):
+                    dispatch.kernel_for(op, engine)
+                continue
+            assert callable(dispatch.kernel_for(op, engine)), (op, engine)
+
+    def test_engine_without_kernel_raises_naming_the_op(self, rows):
+        name = "test-kernelless"
+        registry.register(registry.EngineSpec(name=name, exec_seam=True))
+        try:
+            with pytest.raises(InvalidParameterError,
+                               match="'self_route'"):
+                batch_self_route(rows, engine=name)
+        finally:
+            registry._REGISTRY.pop(name, None)
 
 
 class TestResolveEngineDelegation:

@@ -23,6 +23,7 @@ import pytest
 
 import repro.obs as obs
 from repro.accel import _np as _np_seam
+from repro.accel import dispatch as _dispatch
 from repro.accel import executor as _executor
 from repro.accel import have_numpy
 from repro.accel.batch import batch_in_class_f, batch_self_route
@@ -60,10 +61,10 @@ def _rows(order, batch, seed=0):
 class TestThreadShardFailures:
     def test_shard_exception_propagates(self, thread_sharding,
                                         monkeypatch):
-        def boom(payload):
+        def boom(op, payload):
             raise ValueError("shard exploded")
 
-        monkeypatch.setitem(_executor._TASKS, "self_route", boom)
+        monkeypatch.setattr(_dispatch, "run_shard", boom)
         with pytest.raises(ValueError, match="shard exploded"):
             batch_self_route(_rows(2, 8), parallel=2)
 
@@ -71,14 +72,14 @@ class TestThreadShardFailures:
                                             monkeypatch):
         rows = _rows(2, 8, seed=1)
         marker = rows[6]
-        original = _executor._TASKS["in_class_f"]
+        original = _dispatch.run_shard
 
-        def poisoned(payload):
+        def poisoned(op, payload):
             if any(tuple(row) == marker for row in payload[0]):
                 raise RuntimeError("poisoned shard")
-            return original(payload)
+            return original(op, payload)
 
-        monkeypatch.setitem(_executor._TASKS, "in_class_f", poisoned)
+        monkeypatch.setattr(_dispatch, "run_shard", poisoned)
         # the first shard is healthy — its partial result must not
         # escape as a truncated mask
         with pytest.raises(RuntimeError, match="poisoned shard"):
@@ -88,11 +89,11 @@ class TestThreadShardFailures:
                                                 monkeypatch):
         calls = []
 
-        def boom(payload):
+        def boom(op, payload):
             calls.append(len(payload[0]))
             raise ValueError("deterministic failure")
 
-        monkeypatch.setitem(_executor._TASKS, "in_class_f", boom)
+        monkeypatch.setattr(_dispatch, "run_shard", boom)
         obs.enable()
         with pytest.raises(ValueError):
             batch_in_class_f(_rows(2, 8), parallel=2)
@@ -103,12 +104,12 @@ class TestThreadShardFailures:
 
     def test_executor_usable_after_failure(self, thread_sharding,
                                            monkeypatch):
-        def boom(payload):
+        def boom(op, payload):
             raise ValueError("transient")
 
         rows = _rows(2, 8, seed=2)
         with monkeypatch.context() as patch:
-            patch.setitem(_executor._TASKS, "in_class_f", boom)
+            patch.setattr(_dispatch, "run_shard", boom)
             with pytest.raises(ValueError):
                 batch_in_class_f(rows, parallel=2)
         mask = batch_in_class_f(rows, parallel=2)

@@ -27,7 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.accel import batch_self_route, have_numpy
+from repro.accel import (
+    batch_in_class_f,
+    batch_route_with_states,
+    batch_self_route,
+    batch_setup_states,
+    batch_two_pass,
+    have_numpy,
+)
 from repro.accel import _np as accel_np
 from repro.accel import executor as _executor
 from repro.core import BenesNetwork
@@ -198,6 +205,46 @@ class TestDeltaMerge:
 # Sharded-vs-inline counter parity (the tentpole acceptance test)
 # ----------------------------------------------------------------------
 
+def _states(order, count, rng):
+    n = 1 << order
+    return [[[rng.randint(0, 1) for _ in range(n // 2)]
+             for _ in range(2 * order - 1)] for _ in range(count)]
+
+
+#: One call per accel entry point (self-route twice: plain, and with
+#: omega mode, stage states and a stuck switch), as
+#: ``(order, count, rng, engine, parallel)``.
+_ENTRY_CALLS = {
+    "self_route": lambda order, count, rng, engine, parallel:
+        batch_self_route(_perms(order, count), engine=engine,
+                         parallel=parallel),
+    "self_route_options": lambda order, count, rng, engine, parallel:
+        batch_self_route(_perms(order, count), omega_mode=True,
+                         stage_states=True, stuck_switches={(0, 0): 1},
+                         engine=engine, parallel=parallel),
+    "membership": lambda order, count, rng, engine, parallel:
+        batch_in_class_f(_perms(order, count), engine=engine,
+                         parallel=parallel),
+    "route_with_states": lambda order, count, rng, engine, parallel:
+        batch_route_with_states(_states(order, count, rng), order,
+                                engine=engine, parallel=parallel),
+    "setup": lambda order, count, rng, engine, parallel:
+        batch_setup_states(order, _perms(order, count), engine=engine,
+                           parallel=parallel),
+    "two_pass": lambda order, count, rng, engine, parallel:
+        batch_two_pass(order, _perms(order, count), engine=engine,
+                       parallel=parallel),
+}
+
+#: ``(engine, FORCE_FALLBACK)`` legs of the per-entry parity test.
+_PARITY_ENGINES = [
+    pytest.param("scalar", False, id="scalar"),
+    pytest.param("bitslice", False, id="bitslice"),
+    pytest.param("scalar", True, id="scalar-fallback"),
+    pytest.param("bitslice", True, id="bitslice-fallback"),
+] + ([pytest.param("numpy", False, id="numpy")] if have_numpy() else [])
+
+
 class TestShardedParity:
     ORDER = 3
     COUNT = 32
@@ -250,6 +297,40 @@ class TestShardedParity:
         assert list(sharded.success_mask) == list(inline.success_mask)
         assert _parity_counters(sharded_snap) == \
             _parity_counters(inline_snap)
+
+    @pytest.mark.parametrize("call", sorted(_ENTRY_CALLS))
+    @pytest.mark.parametrize("engine,fallback", _PARITY_ENGINES)
+    def test_thread_fallback_parity_per_entry(self, monkeypatch, call,
+                                              engine, fallback):
+        """Every entry point, every kernel: a thread-sharded run
+        (threshold 8, ``parallel=2``) reports the inline counters."""
+        if fallback:
+            monkeypatch.setattr(accel_np, "FORCE_FALLBACK", True)
+
+        def no_pool(workers, orders):
+            raise OSError("thread shards only")
+
+        monkeypatch.setattr(_executor, "_get_process_pool", no_pool)
+        run = _ENTRY_CALLS[call]
+        rng = random.Random(11)
+        obs.enable()
+        run(self.ORDER, self.COUNT, rng, engine, False)
+        inline_snap = obs.snapshot()
+        obs.disable()
+        obs.reset()
+
+        monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 8)
+        rng = random.Random(11)
+        obs.enable()
+        run(self.ORDER, self.COUNT, rng, engine, 2)
+        sharded_snap = obs.snapshot()
+        obs.disable()
+
+        assert sharded_snap["counters"]["executor.items"] == self.COUNT
+        inline = _parity_counters(inline_snap)
+        assert _parity_counters(sharded_snap) == inline
+        pure = fallback or not have_numpy()
+        assert inline.get("accel.fallback.calls", 0) == (1 if pure else 0)
 
     @pytest.mark.skipif(not have_numpy(),
                         reason="process-pool path requires NumPy")

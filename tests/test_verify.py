@@ -35,10 +35,7 @@ from repro.verify import (
     run_verify,
     shrink,
 )
-from repro.verify.engines import (
-    SELF_ROUTE_ENGINES,
-    force_fallback,
-)
+from repro.engines import SELF_ROUTE_ENGINES, force_fallback
 from repro.verify.shrink import regression_test_source
 from repro.verify.workloads import perm_rows, structured_rows, tag_rows
 

@@ -36,7 +36,7 @@ from repro.verify import (
     check_twopass,
     check_universal,
 )
-from repro.verify.engines import MEMBERSHIP_ENGINES, SELF_ROUTE_ENGINES
+from repro.engines import MEMBERSHIP_ENGINES, SELF_ROUTE_ENGINES
 
 #: Spawn-pool-free engine subset — property tests run hundreds of
 #: examples; worker-pool startup per example would dominate.
